@@ -12,7 +12,7 @@
 
 #include "core/ah_query.h"
 #include "gen/road_gen.h"
-#include "hier/one_to_many.h"
+#include "hier/many_to_many.h"
 #include "util/rng.h"
 
 int main() {
@@ -26,7 +26,7 @@ int main() {
 
   // The user stands at a random intersection; 25 restaurants are scattered
   // over the map. The restaurant set is fixed, so we bucket-preprocess it
-  // once (OneToMany) and answer the whole ranking with a single upward
+  // once (ManyToMany) and answer the whole ranking with a single upward
   // search instead of 25 point-to-point queries.
   Rng rng(7);
   const NodeId user = static_cast<NodeId>(rng.Uniform(graph.NumNodes()));
@@ -35,8 +35,9 @@ int main() {
     const NodeId r = static_cast<NodeId>(rng.Uniform(graph.NumNodes()));
     if (r != user) restaurants.push_back(r);
   }
-  OneToMany poi_oracle(index.search_graph(), restaurants);
-  const std::vector<Dist> network_dists = poi_oracle.DistancesFrom(user);
+  const ManyToMany poi_oracle(index.search_graph(), restaurants);
+  const std::vector<Dist> network_dists =
+      poi_oracle.DistancesFrom({&user, 1});
 
   struct Poi {
     NodeId node;

@@ -85,7 +85,7 @@ AltQuery::AltQuery(const Graph& g, const AltIndex& index)
 Dist AltQuery::Distance(NodeId s, NodeId t) {
   last_settled_ = 0;
   if (s == t) return 0;
-  ++round_;
+  NextRound(round_, stamp_);
   heap_.Clear();
 
   stamp_[s] = round_;

@@ -11,7 +11,8 @@ namespace ah {
 ConcurrentEngine::ConcurrentEngine(std::shared_ptr<IndexRegistry> registry,
                                    std::size_t num_threads)
     : registry_(std::move(registry)),
-      num_threads_(num_threads == 0 ? WorkerThreads() : num_threads) {
+      num_threads_(num_threads == 0 ? WorkerThreads() : num_threads),
+      async_jobs_(num_threads_) {
   if (!registry_) {
     throw std::invalid_argument("ConcurrentEngine: null registry");
   }
@@ -26,47 +27,17 @@ ConcurrentEngine::ConcurrentEngine(std::unique_ptr<DistanceOracle> oracle,
 
 ConcurrentEngine::~ConcurrentEngine() {
   registry_->RemoveSwapListener(swap_listener_token_);
-  {
-    MutexLock lock(async_mu_);
-    async_stop_ = true;
-  }
-  async_cv_.NotifyAll();
-  for (std::thread& worker : async_workers_) worker.join();
+  // Every submitted job runs, so a callback-carrying job can always deliver
+  // its reply.
+  WorkerPool::Shared().Drain(async_jobs_);
 }
 
 void ConcurrentEngine::SubmitAsync(std::function<void()> fn) {
-  {
-    MutexLock lock(async_mu_);
-    if (async_workers_.empty()) {
-      async_workers_.reserve(num_threads_);
-      for (std::size_t i = 0; i < num_threads_; ++i) {
-        async_workers_.emplace_back([this] { AsyncWorkerLoop(); });
-      }
-    }
-    async_queue_.push_back(std::move(fn));
-  }
-  async_cv_.NotifyOne();
+  WorkerPool::Shared().Submit(async_jobs_, std::move(fn));
 }
 
 std::size_t ConcurrentEngine::AsyncQueueDepth() const {
-  MutexLock lock(async_mu_);
-  return async_queue_.size();
-}
-
-void ConcurrentEngine::AsyncWorkerLoop() {
-  while (true) {
-    std::function<void()> job;
-    {
-      MutexLock lock(async_mu_);
-      while (!async_stop_ && async_queue_.empty()) async_cv_.Wait(lock);
-      // Drain the queue even when stopping: every submitted job runs, so a
-      // callback-carrying job can always deliver its reply.
-      if (async_queue_.empty()) break;
-      job = std::move(async_queue_.front());
-      async_queue_.pop_front();
-    }
-    job();
-  }
+  return WorkerPool::Shared().Queued(async_jobs_);
 }
 
 ConcurrentEngine::SessionLease::~SessionLease() {
@@ -89,72 +60,48 @@ PathResult ConcurrentEngine::ShortestPath(NodeId s, NodeId t) {
   return Lease()->ShortestPath(s, t);
 }
 
-template <typename Body>
-void ConcurrentEngine::RunBatch(std::size_t n, std::size_t num_threads,
-                                std::string_view backend, const Body& body) {
-  if (n == 0) return;
-  std::size_t threads = num_threads == 0 ? num_threads_ : num_threads;
-  threads = std::max<std::size_t>(1, std::min(threads, n));
-
-  // One leased session per worker for the whole batch; ~4 chunks per worker
-  // so an expensive straggler query cannot idle the other threads. All
-  // sessions come from the same epoch acquisition round, so a swap landing
-  // mid-batch cannot split the batch across index versions.
-  std::vector<PooledSession> sessions;
-  sessions.reserve(threads);
-  sessions.push_back(Acquire(backend));
-  const EpochHandle& epoch = sessions.front().epoch;
-  for (std::size_t i = 1; i < threads; ++i) {
-    PooledSession entry = Acquire(backend);
-    if (entry.epoch != epoch) {
-      entry = PooledSession{epoch, epoch->NewSession()};
+template <typename Result, typename Query>
+std::vector<Result> ConcurrentEngine::RunBatch(
+    const std::vector<QueryPair>& queries, std::size_t num_threads,
+    std::string_view backend, const Query& query) {
+  std::vector<Result> results(queries.size());
+  if (queries.empty()) return results;
+  const std::size_t threads = std::min(
+      num_threads == 0 ? num_threads_ : num_threads, queries.size());
+  // One session per participant, leased at its first chunk. All answer from
+  // the epoch acquired up front, so a swap landing mid-batch cannot split
+  // the batch across index versions.
+  std::vector<PooledSession> sessions(threads);
+  sessions[0] = Acquire(backend);
+  const EpochHandle& epoch = sessions[0].epoch;
+  ParallelFor(queries.size(), threads, [&](std::size_t i, std::size_t tid) {
+    PooledSession& mine = sessions[tid];
+    if (mine.session == nullptr) {
+      mine = Acquire(backend);
+      if (mine.epoch != epoch) mine = {epoch, epoch->NewSession()};
     }
-    sessions.push_back(std::move(entry));
-  }
-  const std::size_t chunk = std::max<std::size_t>(1, n / (threads * 4));
-  ParallelChunks(
-      n, chunk,
-      [&](std::size_t /*chunk_index*/, std::size_t begin, std::size_t end,
-          std::size_t tid) { body(*sessions[tid].session, begin, end); },
-      threads);
+    results[i] = query(*mine.session, queries[i].first, queries[i].second);
+  });
   for (PooledSession& entry : sessions) Release(std::move(entry));
+  return results;
 }
 
 std::vector<Dist> ConcurrentEngine::BatchDistance(
     const std::vector<QueryPair>& queries, std::size_t num_threads,
     std::string_view backend) {
-  std::vector<Dist> results(queries.size(), kInfDist);
-  RunBatch(queries.size(), num_threads, backend,
-           [&](QuerySession& session, std::size_t begin, std::size_t end) {
-             for (std::size_t i = begin; i < end; ++i) {
-               results[i] =
-                   session.Distance(queries[i].first, queries[i].second);
-             }
-           });
-  return results;
+  return RunBatch<Dist>(queries, num_threads, backend,
+                        [](QuerySession& session, NodeId s, NodeId t) {
+                          return session.Distance(s, t);
+                        });
 }
 
 std::vector<PathResult> ConcurrentEngine::BatchShortestPath(
     const std::vector<QueryPair>& queries, std::size_t num_threads,
     std::string_view backend) {
-  std::vector<PathResult> results(queries.size());
-  RunBatch(queries.size(), num_threads, backend,
-           [&](QuerySession& session, std::size_t begin, std::size_t end) {
-             for (std::size_t i = begin; i < end; ++i) {
-               results[i] =
-                   session.ShortestPath(queries[i].first, queries[i].second);
-             }
-           });
-  return results;
-}
-
-MatrixOracle ConcurrentEngine::Matrix(std::string_view backend) const {
-  EpochHandle epoch = registry_->Current(backend);
-  if (!epoch) {
-    throw std::invalid_argument("ConcurrentEngine: unknown backend '" +
-                                std::string(backend) + "'");
-  }
-  return MatrixOracle(std::move(epoch), num_threads_);
+  return RunBatch<PathResult>(queries, num_threads, backend,
+                              [](QuerySession& session, NodeId s, NodeId t) {
+                                return session.ShortestPath(s, t);
+                              });
 }
 
 std::vector<Dist> ConcurrentEngine::DistanceMatrix(

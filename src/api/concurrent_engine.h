@@ -5,15 +5,14 @@
 // api/distance_oracle.h, now lifecycle-aware (api/index_registry.h).
 //
 // Three ways in:
-//   * Batch: BatchDistance / BatchShortestPath fan a query vector across
-//     WorkerThreads() via util/parallel.h, one leased session per worker.
-//     Results are positionally deterministic (each query is answered
-//     independently), so output is identical at any thread count.
+//   * Batch: BatchDistance / BatchShortestPath fan a query vector out via
+//     util/parallel.h, one leased session per participant; output is
+//     identical at any thread count.
 //   * Interactive: Lease(backend) hands out an RAII session for a
-//     caller-managed thread; Distance/ShortestPath are one-shot
-//     conveniences that lease internally.
-//   * Async: SubmitAsync enqueues a job onto a lazily started long-lived
-//     worker pool (server front-ends; jobs lease their own sessions).
+//     caller-managed thread; Distance/ShortestPath lease internally.
+//   * Async: SubmitAsync runs jobs on the process-wide WorkerPool
+//     (util/worker_pool.h), at most NumThreads() at once; jobs lease their
+//     own sessions. Batch and matrix fan-outs use the same pool threads.
 //
 // Epoch discipline: a lease holds an EpochHandle, so the index it queries
 // cannot be retired mid-query. When the registry swaps a new epoch in, the
@@ -24,21 +23,19 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/distance_oracle.h"
 #include "api/index_registry.h"
-#include "api/matrix_oracle.h"
 #include "routing/path.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
+#include "util/worker_pool.h"
 
 namespace ah {
 
@@ -48,8 +45,8 @@ using QueryPair = std::pair<NodeId, NodeId>;
 class ConcurrentEngine {
  public:
   /// Serves the registry's backends. `num_threads` caps batch fan-out and
-  /// the async worker pool (0 = the util/parallel.h WorkerThreads()
-  /// default). Throws std::invalid_argument on a null registry.
+  /// the async jobs running at once (0 = WorkerThreads()). Throws
+  /// std::invalid_argument on a null registry.
   explicit ConcurrentEngine(std::shared_ptr<IndexRegistry> registry,
                             std::size_t num_threads = 0);
 
@@ -59,8 +56,8 @@ class ConcurrentEngine {
   explicit ConcurrentEngine(std::unique_ptr<DistanceOracle> oracle,
                             std::size_t num_threads = 0);
 
-  /// Joins the async worker pool (draining any queued jobs). All
-  /// SessionLeases must already be gone.
+  /// Waits until every job given to SubmitAsync has run. All SessionLeases
+  /// must already be gone.
   ~ConcurrentEngine();
 
   IndexRegistry& registry() const { return *registry_; }
@@ -124,12 +121,6 @@ class ConcurrentEngine {
       const std::vector<QueryPair>& queries, std::size_t num_threads = 0,
       std::string_view backend = {});
 
-  /// Many-to-many surface: pins the current epoch of `backend` (empty =
-  /// default) in a MatrixOracle whose Distances() fan out across
-  /// NumThreads() workers. Throws std::invalid_argument on an unknown
-  /// backend. Thread-safe.
-  MatrixOracle Matrix(std::string_view backend = {}) const;
-
   /// One-shot convenience: the row-major |sources| × |targets| matrix on
   /// `backend`'s current epoch (see DistanceOracle::DistanceMatrix).
   /// `num_threads` overrides the engine fan-out for this call (0 = engine
@@ -139,17 +130,17 @@ class ConcurrentEngine {
                                    std::size_t num_threads = 0,
                                    std::string_view backend = {}) const;
 
-  /// Callback-style submit for server front-ends: enqueues `fn` to run on a
-  /// lazily started pool of NumThreads() long-lived workers. Jobs run FIFO
-  /// and lease sessions themselves (so each job picks up the freshest
-  /// epoch); `fn` must not throw. The queue is unbounded — callers wanting
-  /// load shedding put an admission controller in front
+  /// Callback-style submit for server front-ends: enqueues `fn` to run on
+  /// a shared pool thread, at most NumThreads() of this engine's jobs at
+  /// once. Jobs start FIFO and lease sessions themselves (so each job picks
+  /// up the freshest epoch); `fn` must not throw. The queue is unbounded —
+  /// callers wanting load shedding put an admission controller in front
   /// (src/server/admission.h).
-  void SubmitAsync(std::function<void()> fn) AH_EXCLUDES(async_mu_);
+  void SubmitAsync(std::function<void()> fn);
 
   /// Jobs submitted via SubmitAsync that have not yet started executing —
   /// the queue-depth signal admission control and stats export read.
-  std::size_t AsyncQueueDepth() const AH_EXCLUDES(async_mu_);
+  std::size_t AsyncQueueDepth() const;
 
  private:
   /// A pooled idle session together with the epoch it was created over.
@@ -158,36 +149,24 @@ class ConcurrentEngine {
     std::unique_ptr<QuerySession> session;
   };
 
-  // Runs body(session, begin, end) over chunks of [0, n) on `num_threads`
-  // workers, each holding one leased session for the whole batch.
-  template <typename Body>
-  void RunBatch(std::size_t n, std::size_t num_threads,
-                std::string_view backend, const Body& body);
+  // results[i] = query(session, s_i, t_i) for every pair, fanned out over
+  // `num_threads` participants (0 = NumThreads()).
+  template <typename Result, typename Query>
+  std::vector<Result> RunBatch(const std::vector<QueryPair>& queries,
+                               std::size_t num_threads,
+                               std::string_view backend, const Query& query);
 
   PooledSession Acquire(std::string_view backend) AH_EXCLUDES(mu_);
   void Release(PooledSession entry) AH_EXCLUDES(mu_);
   /// Drops pooled sessions whose epoch is not `fresh` for that backend.
   void PurgeStale(const EpochHandle& fresh) AH_EXCLUDES(mu_);
 
-  // Body of each async worker thread: pop jobs FIFO until stop.
-  void AsyncWorkerLoop() AH_EXCLUDES(async_mu_);
-
   std::shared_ptr<IndexRegistry> registry_;
   std::uint64_t swap_listener_token_ = 0;
   std::size_t num_threads_;
   Mutex mu_;
   std::vector<PooledSession> pool_ AH_GUARDED_BY(mu_);
-
-  // Async submit state: workers are spawned on the first SubmitAsync and
-  // joined by the destructor after draining the queue.
-  mutable Mutex async_mu_;
-  CondVar async_cv_;
-  std::deque<std::function<void()>> async_queue_ AH_GUARDED_BY(async_mu_);
-  /// Mutated only by the first SubmitAsync (under async_mu_) and joined by
-  /// the destructor, which runs single-threaded by contract — the one
-  /// access pattern the analysis cannot express, so left unannotated.
-  std::vector<std::thread> async_workers_;
-  bool async_stop_ AH_GUARDED_BY(async_mu_) = false;
+  WorkerPool::JobQueue async_jobs_;
 };
 
 }  // namespace ah

@@ -72,20 +72,14 @@ class DijkstraOracle final : public DistanceOracle {
     if (result.empty()) return result;
     if (num_threads == 0) num_threads = WorkerThreads();
     std::vector<std::unique_ptr<Dijkstra>> engines(num_threads);
-    ParallelChunks(
-        sources.size(),
-        std::max<std::size_t>(1, sources.size() / (num_threads * 4)),
-        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end,
-            std::size_t tid) {
-          if (!engines[tid]) engines[tid] = std::make_unique<Dijkstra>(graph());
-          for (std::size_t i = begin; i < end; ++i) {
-            engines[tid]->Run(sources[i]);
-            for (std::size_t j = 0; j < num_targets; ++j) {
-              result[i * num_targets + j] = engines[tid]->DistTo(targets[j]);
-            }
-          }
-        },
-        num_threads);
+    const auto fill_row = [&](std::size_t i, std::size_t tid) {
+      if (!engines[tid]) engines[tid] = std::make_unique<Dijkstra>(graph());
+      engines[tid]->Run(sources[i]);
+      for (std::size_t j = 0; j < num_targets; ++j) {
+        result[i * num_targets + j] = engines[tid]->DistTo(targets[j]);
+      }
+    };
+    ParallelFor(sources.size(), num_threads, fill_row);
     return result;
   }
 };
@@ -413,7 +407,6 @@ class HlOracle final : public DistanceOracle {
     const std::size_t num_targets = targets.size();
     std::vector<Dist> result(sources.size() * num_targets, kInfDist);
     if (result.empty()) return result;
-    if (num_threads == 0) num_threads = WorkerThreads();
 
     // CSR buckets over hub ranks: entry (j, d) at rank r means
     // d(hub_of_rank(r) → targets[j]) = d. Filled in target order, so the
@@ -436,26 +429,18 @@ class HlOracle final : public DistanceOracle {
       }
     }
 
-    ParallelChunks(
-        sources.size(),
-        std::max<std::size_t>(1, sources.size() / (num_threads * 4)),
-        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end,
-            std::size_t /*tid*/) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::span<Dist> row{result.data() + i * num_targets,
-                                      num_targets};
-            for (const HlLabel& label : index_.OutLabels(sources[i])) {
-              for (std::uint64_t e = first[label.hub];
-                   e < first[label.hub + 1]; ++e) {
-                const Dist via = label.dist + entries[e].dist;
-                if (via < row[entries[e].target_index]) {
-                  row[entries[e].target_index] = via;
-                }
-              }
-            }
+    ParallelFor(sources.size(), num_threads, [&](std::size_t i, std::size_t) {
+      const std::span<Dist> row{result.data() + i * num_targets, num_targets};
+      for (const HlLabel& label : index_.OutLabels(sources[i])) {
+        for (std::uint64_t e = first[label.hub]; e < first[label.hub + 1];
+             ++e) {
+          const Dist via = label.dist + entries[e].dist;
+          if (via < row[entries[e].target_index]) {
+            row[entries[e].target_index] = via;
           }
-        },
-        num_threads);
+        }
+      }
+    });
     return result;
   }
 
@@ -477,20 +462,14 @@ std::vector<Dist> DistanceOracle::DistanceMatrix(
   if (result.empty()) return result;
   if (num_threads == 0) num_threads = WorkerThreads();
   std::vector<std::unique_ptr<QuerySession>> sessions(num_threads);
-  ParallelChunks(
-      sources.size(),
-      std::max<std::size_t>(1, sources.size() / (num_threads * 4)),
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end,
-          std::size_t tid) {
-        if (!sessions[tid]) sessions[tid] = NewSession();
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < num_targets; ++j) {
-            result[i * num_targets + j] =
-                sessions[tid]->Distance(sources[i], targets[j]);
-          }
-        }
-      },
-      num_threads);
+  const auto fill_row = [&](std::size_t i, std::size_t tid) {
+    if (!sessions[tid]) sessions[tid] = NewSession();
+    for (std::size_t j = 0; j < num_targets; ++j) {
+      result[i * num_targets + j] =
+          sessions[tid]->Distance(sources[i], targets[j]);
+    }
+  };
+  ParallelFor(sources.size(), num_threads, fill_row);
   return result;
 }
 

@@ -26,7 +26,7 @@ std::uint32_t WindowProcessor::Localize(NodeId global, const Cell& cell,
 }
 
 void WindowProcessor::RunLocalSearch(std::uint32_t source) {
-  ++search_round_;
+  NextRound(search_round_, search_stamp_);
   ++num_searches_;
   heap_.Resize(nodes_.size());
   if (dist_.size() < nodes_.size()) {
@@ -34,8 +34,8 @@ void WindowProcessor::RunLocalSearch(std::uint32_t source) {
     parent_.resize(nodes_.size());
     search_stamp_.resize(nodes_.size(), 0);
   }
-  // search_stamp_ entries beyond previous rounds may be stale but can never
-  // equal the new round value (monotone counter), so no reset is needed.
+  // Stale search_stamp_ entries never equal the new round (NextRound clears
+  // them on wrap), so no reset is needed.
   heap_.Clear();
   dist_[source] = TieDist{0, 0};
   parent_[source] = 0xffffffffu;
@@ -91,7 +91,7 @@ std::vector<ArterialEdge> WindowProcessor::Process(const SquareGrid& grid,
                                                    const Window& w,
                                                    const CellIndex& cells,
                                                    std::size_t max_sources) {
-  ++round_;
+  NextRound(round_, local_stamp_);
   nodes_.clear();
 
   cells.CollectWindowNodes(w, &window_nodes_);

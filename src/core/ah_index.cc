@@ -340,7 +340,7 @@ GatewaySearch::GatewaySearch(const AhIndex& index)
 
 const std::vector<Gateway>& GatewaySearch::Run(NodeId v, Level j,
                                                bool forward) {
-  ++round_;
+  NextRound(round_, stamp_);
   heap_.Clear();
   hits_.clear();
   complete_ = true;

@@ -53,7 +53,7 @@ void AhQuery::BuildSeeds(
   // Tiny Dijkstra over gateway hops: climb as close to level j as the
   // stored band allows, as the paper's traversal does with elevating edges.
   // State lives in timestamped member arrays: no allocation, no hashing.
-  ++walk_round_;
+  NextRound(walk_round_, walk_stamp_);
   walk_heap_.clear();
   walk_touched_.clear();
   auto heap_less = [](const WalkHeapEntry& a, const WalkHeapEntry& b) {

@@ -80,7 +80,7 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
                                std::vector<HierArc>& shortcuts,
                                std::vector<HierArc>& unpack) {
     const Level lu = index.level_[u];
-    const std::uint32_t round = ++sc.round;
+    const std::uint32_t round = NextRound(sc.round, sc.stamp, sc.entry_stamp);
     sc.heap.Clear();
     sc.shortcut_heads.clear();
     sc.stamp[u] = round;
@@ -280,7 +280,7 @@ PathResult FcQuery::Path(NodeId s, NodeId t) {
 }
 
 Dist FcQuery::RunSearch(NodeId s, NodeId t) {
-  ++round_;
+  NextRound(round_, fwd_.stamp, bwd_.stamp);
   fwd_.heap.Clear();
   bwd_.heap.Clear();
   last_settled_ = 0;

@@ -41,7 +41,7 @@ struct FcParams {
   std::int32_t max_grid_depth = 14;
   std::uint64_t seed = 7;
   /// Worker threads for the per-source shortcut searches (0 = the
-  /// util/parallel.h WorkerThreads() default). The built index is
+  /// util/worker_pool.h WorkerThreads() default). The built index is
   /// bit-identical regardless of thread count: per-chunk outputs are merged
   /// in chunk order.
   std::size_t build_threads = 0;

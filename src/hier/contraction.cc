@@ -70,7 +70,7 @@ void ContractionEngine::RunWitnessSearch(NodeId u, NodeId excluded) {
   // initial bound.
   Dist bound = 0;
   for (const Target& t : targets_) bound = std::max(bound, t.via);
-  ++witness_round_;
+  NextRound(witness_round_, witness_stamp_, witness_parent_stamp_);
   ++witness_searches_;
   witness_heap_.Clear();
   witness_stamp_[u] = witness_round_;
@@ -137,7 +137,7 @@ void ContractionEngine::RecordPruneCert(NodeId v, NodeId u, NodeId w) {
 }
 
 void ContractionEngine::RunWitnessPrefilter(NodeId u, NodeId excluded) {
-  ++witness_round_;
+  NextRound(witness_round_, witness_stamp_, witness_parent_stamp_);
   // Label u's active out-neighbors with their one-arc distance.
   ring_.clear();
   for (const OutArcRec& a : out_[u]) {
@@ -222,7 +222,7 @@ std::size_t ContractionEngine::Contract(NodeId v) {
     if (contracted_[u]) continue;  // Should not happen: lists stay clean.
     cand_.clear();
     targets_.clear();
-    ++target_round_;
+    NextRound(target_round_, target_stamp_);
     for (const OutArcRec& oa : out_[v]) {
       const NodeId w = oa.head;
       if (contracted_[w] || w == u) continue;
@@ -293,7 +293,7 @@ std::size_t ContractionEngine::SimulateContraction(NodeId v) {
   for (const InArcRec& ia : in_[v]) {
     const NodeId u = ia.tail;
     targets_.clear();
-    ++target_round_;
+    NextRound(target_round_, target_stamp_);
     for (const OutArcRec& oa : out_[v]) {
       if (oa.head == u) continue;
       target_stamp_[oa.head] = target_round_;

@@ -12,11 +12,21 @@ namespace {
 
 using RawEntry = std::pair<NodeId, TargetBuckets::Entry>;
 
+/// The calling thread's scratch, kept across calls (matrix fan-outs run on
+/// long-lived pool threads) and grown to the largest graph seen.
+UpwardSearchScratch& ThreadScratch(std::size_t num_nodes) {
+  thread_local std::unique_ptr<UpwardSearchScratch> scratch;
+  if (scratch == nullptr || scratch->dist.size() < num_nodes) {
+    scratch = std::make_unique<UpwardSearchScratch>(num_nodes);
+  }
+  return *scratch;
+}
+
 /// Backward upward search from targets[k], appending one (node, entry) pair
 /// per settled node.
 void FillBucketsFor(const SearchGraph& sg, NodeId target, std::uint32_t k,
                     UpwardSearchScratch& scratch, std::vector<RawEntry>* raw) {
-  ++scratch.round;
+  NextRound(scratch.round, scratch.stamp);
   scratch.heap.Clear();
   scratch.stamp[target] = scratch.round;
   scratch.dist[target] = 0;
@@ -44,35 +54,21 @@ TargetBuckets::TargetBuckets(const SearchGraph& sg,
   const std::size_t n = sg.NumNodes();
   first_.assign(n + 1, 0);
   if (targets.empty()) return;
-  if (num_threads == 0) num_threads = WorkerThreads();
 
-  // Per-chunk raw entries: workers only touch their own chunk's vector and
-  // their own per-thread scratch. The canonical sort below makes the packed
-  // CSR independent of chunk boundaries and completion order.
-  const std::size_t chunk_size =
-      std::max<std::size_t>(1, targets.size() / (num_threads * 4));
-  const std::size_t num_chunks = (targets.size() + chunk_size - 1) / chunk_size;
-  std::vector<std::vector<RawEntry>> chunk_raw(num_chunks);
-  std::vector<std::unique_ptr<UpwardSearchScratch>> scratch(num_threads);
-  ParallelChunks(
-      targets.size(), chunk_size,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end,
-          std::size_t tid) {
-        if (!scratch[tid]) {
-          scratch[tid] = std::make_unique<UpwardSearchScratch>(n);
-        }
-        for (std::size_t k = begin; k < end; ++k) {
-          FillBucketsFor(sg, targets[k], static_cast<std::uint32_t>(k),
-                         *scratch[tid], &chunk_raw[chunk]);
-        }
-      },
-      num_threads);
+  // Per-target raw entries, each filled by one search on its thread's
+  // scratch. The canonical sort below makes the packed CSR independent of
+  // which participant ran which target, and when.
+  std::vector<std::vector<RawEntry>> target_raw(targets.size());
+  ParallelFor(targets.size(), num_threads, [&](std::size_t k, std::size_t) {
+    FillBucketsFor(sg, targets[k], static_cast<std::uint32_t>(k),
+                   ThreadScratch(n), &target_raw[k]);
+  });
 
   std::size_t total = 0;
-  for (const auto& part : chunk_raw) total += part.size();
+  for (const auto& part : target_raw) total += part.size();
   std::vector<RawEntry> raw;
   raw.reserve(total);
-  for (auto& part : chunk_raw) {
+  for (auto& part : target_raw) {
     raw.insert(raw.end(), part.begin(), part.end());
     part.clear();
     part.shrink_to_fit();
@@ -92,7 +88,7 @@ TargetBuckets::TargetBuckets(const SearchGraph& sg,
 void CombineFromSource(const SearchGraph& sg, const TargetBuckets& buckets,
                        NodeId s, UpwardSearchScratch& scratch,
                        std::span<Dist> out) {
-  ++scratch.round;
+  NextRound(scratch.round, scratch.stamp);
   scratch.heap.Clear();
   scratch.stamp[s] = scratch.round;
   scratch.dist[s] = 0;
@@ -125,27 +121,13 @@ std::vector<Dist> ManyToMany::DistancesFrom(std::span<const NodeId> sources,
   const std::size_t num_targets = targets_.size();
   std::vector<Dist> result(sources.size() * num_targets, kInfDist);
   if (result.empty()) return result;
-  if (num_threads == 0) num_threads = WorkerThreads();
-
   // Row i of the result belongs to sources[i] alone, so workers write
   // disjoint ranges and the min-combine per row is a pure function of the
   // (immutable) buckets — no merge step, deterministic at any thread count.
-  std::vector<std::unique_ptr<UpwardSearchScratch>> scratch(num_threads);
-  ParallelChunks(
-      sources.size(),
-      std::max<std::size_t>(1, sources.size() / (num_threads * 4)),
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end,
-          std::size_t tid) {
-        if (!scratch[tid]) {
-          scratch[tid] = std::make_unique<UpwardSearchScratch>(sg_.NumNodes());
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          CombineFromSource(
-              sg_, buckets_, sources[i], *scratch[tid],
-              {result.data() + i * num_targets, num_targets});
-        }
-      },
-      num_threads);
+  ParallelFor(sources.size(), num_threads, [&](std::size_t i, std::size_t) {
+    CombineFromSource(sg_, buckets_, sources[i], ThreadScratch(sg_.NumNodes()),
+                      {result.data() + i * num_targets, num_targets});
+  });
   return result;
 }
 

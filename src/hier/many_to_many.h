@@ -1,18 +1,18 @@
 // Many-to-many distance matrices over a contracted hierarchy (the bucket
-// technique generalized from one_to_many.h): one backward upward search per
-// target t ∈ T stores (target, distance) bucket entries at every settled
-// node; one forward upward search per source s ∈ S then min-combines over
-// the buckets it touches. A |S|×|T| matrix costs O(|S|+|T|) upward searches
-// instead of |S|·|T| bidirectional queries — the workload of the paper's §1
-// motivating scenario (ranking POI sets by network distance) and of every
-// fleet-dispatch / travel-time-table request the server's `m` verb answers.
+// technique): one backward upward search per target t ∈ T stores (target,
+// distance) bucket entries at every settled node; one forward upward search
+// per source s ∈ S then min-combines over the buckets it touches. A |S|×|T|
+// matrix costs O(|S|+|T|) upward searches instead of |S|·|T| bidirectional
+// queries — the workload of the paper's §1 motivating scenario (ranking POI
+// sets by network distance) and of every fleet-dispatch / travel-time-table
+// request the server's `m` verb answers.
 //
 // Works on any SearchGraph (CH or AH); exact on any graph by the standard
 // up-down path argument. Both phases parallelize with util/parallel.h:
-// bucket construction chunks the targets (per-chunk raw entries, one
-// canonical sort), the combine phase chunks the sources (per-thread scratch,
-// each source writing its own disjoint result row) — output is bit-identical
-// at any thread count.
+// bucket construction over the targets (per-target raw entries, one
+// canonical sort), the combine phase over the sources (each writing its own
+// result row); every search uses its thread's long-lived scratch. Output is
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,8 @@ namespace ah {
 
 /// Reusable per-thread state for one upward search (forward or backward):
 /// heap plus timestamped distance labels, so back-to-back searches cost
-/// O(#touched) cleanup, not O(n).
+/// O(#touched) cleanup, not O(n). Searches advance `round` with NextRound
+/// (util/types.h), which clears `stamp` when the counter wraps.
 struct UpwardSearchScratch {
   explicit UpwardSearchScratch(std::size_t num_nodes)
       : heap(num_nodes), dist(num_nodes, kInfDist), stamp(num_nodes, 0) {}
@@ -50,7 +51,7 @@ class TargetBuckets {
   };
 
   /// One backward upward search per target, chunked across `num_threads`
-  /// workers (0 = the util/parallel.h WorkerThreads() default). The packed
+  /// workers (0 = the util/worker_pool.h WorkerThreads() default). The packed
   /// CSR is canonically sorted by (node, target_index), so the result is
   /// bit-identical at any thread count.
   TargetBuckets(const SearchGraph& sg, std::span<const NodeId> targets,
@@ -79,8 +80,8 @@ void CombineFromSource(const SearchGraph& sg, const TargetBuckets& buckets,
 
 /// The many-to-many engine: buckets built once for a target set, then any
 /// number of source batches answered against them. Immutable after
-/// construction (DistancesFrom allocates per-call scratch), so one instance
-/// may serve concurrent callers.
+/// construction (DistancesFrom searches with each thread's own reused
+/// scratch), so one instance may serve concurrent callers.
 class ManyToMany {
  public:
   /// Preprocesses `targets` (see TargetBuckets). `num_threads` parallelizes

@@ -353,7 +353,7 @@ class RepairKernel {
   // three arcs. Labels are real path lengths avoiding the step-r node, so
   // every prune decision matches what the Dijkstra search would make.
   void Prefilter(NodeId u, Rank r) {
-    ++round_;
+    NextRound(round_, stamp_, parent_stamp_);
     ring_.clear();
     ForEachActiveOut(u, r, [&](NodeId y, Dist wt) {
       RelaxLabel(y, wt);
@@ -400,7 +400,7 @@ class RepairKernel {
   void WitnessSearch(NodeId u, Rank r) {
     Dist bound = 0;
     for (const Target& t : targets_) bound = std::max(bound, t.via);
-    ++round_;
+    NextRound(round_, stamp_, parent_stamp_);
     ++witness_searches_;
     heap_.Clear();
     stamp_[u] = round_;
@@ -494,7 +494,7 @@ class RepairKernel {
       const NodeId u = ie.node;
       cand_.clear();
       targets_.clear();
-      ++target_round_;
+      NextRound(target_round_, target_stamp_);
       for (const Ent& oe : out_list_) {
         const NodeId w = oe.node;
         if (w == u) continue;

@@ -31,8 +31,12 @@
 //    forgoes pruning a redundant arc, never adds a wrong one — and
 //    distances are preserved either way. The repaired hierarchy may keep
 //    a few shortcuts a from-scratch build would prune (the topology
-//    tracks the previous epoch), which is why registry policies mix in
-//    periodic from-scratch rebuilds to reset any drift.
+//    tracks the previous epoch), and nothing resets that drift on its
+//    own: under the default kFrozenOrder policy, api/index_registry.cc
+//    rebuilds from scratch only when a repair throws (the fallback) or
+//    when the operator selects kFromScratch. Measured on a 25,370-node
+//    road graph, the ch index grows from 3.63 MB to 3.74 MB (+3%) over
+//    nine repairs of 1% of the arcs each.
 //
 //  * Pairs NOT in the previous topology (rare after a weights-only
 //    change) get the full treatment: a certificate replay when the

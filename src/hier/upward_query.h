@@ -51,7 +51,7 @@ class BidirUpwardSearch {
   Dist Run(std::span<const SearchSeed> fwd_seeds,
            std::span<const SearchSeed> bwd_seeds,
            FwdFilter fwd_filter = {}, BwdFilter bwd_filter = {}) {
-    ++round_;
+    NextRound(round_, fwd_.stamp, bwd_.stamp);
     stats_ = {};
     best_ = kInfDist;
     meet_ = kInvalidNode;

@@ -81,7 +81,7 @@ class PrunedSearch {
   template <typename CoveredFn>
   void Run(const Graph& g, NodeId hub, bool forward, CoveredFn&& covered,
            std::vector<DeltaEntry>* delta) {
-    ++round_;
+    NextRound(round_, stamp_);
     dist_[hub] = 0;
     parent_[hub] = kInvalidNode;
     stamp_[hub] = round_;
@@ -230,7 +230,7 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
           const Rank r = static_cast<Rank>(round_start + c);
           const NodeId hub = index.hub_of_rank_[r];
           HubDelta& delta = slots[c % slots.size()];
-          ++commit_round;
+          NextRound(commit_round, kept_stamp);
           for (const DeltaEntry& e : delta.in) {
             const bool root = e.node == hub;
             if (!root && kept_stamp[e.parent] != commit_round) continue;
@@ -245,7 +245,7 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
             if (in_staged[e.node].empty()) touched_in.push_back(e.node);
             in_staged[e.node].push_back(HlLabel{r, e.parent, e.dist});
           }
-          ++commit_round;
+          NextRound(commit_round, kept_stamp);
           for (const DeltaEntry& e : delta.out) {
             const bool root = e.node == hub;
             if (!root && kept_stamp[e.parent] != commit_round) continue;

@@ -64,7 +64,7 @@ struct HlBuildStats {
 
 struct HlParams {
   /// Worker threads for the per-hub pruned searches (0 = the
-  /// util/parallel.h WorkerThreads() default). The label tables are
+  /// util/worker_pool.h WorkerThreads() default). The label tables are
   /// bit-identical at any thread count: rounds are a fixed partition of the
   /// hub order and deltas are committed serially in hub-rank order.
   std::size_t build_threads = 0;

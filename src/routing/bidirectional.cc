@@ -15,7 +15,7 @@ BidirectionalDijkstra::BidirectionalDijkstra(const Graph& g) : graph_(g) {
 }
 
 void BidirectionalDijkstra::Reset() {
-  ++round_;
+  NextRound(round_, fwd_.stamp, bwd_.stamp);
   fwd_.heap.Clear();
   bwd_.heap.Clear();
   last_settled_ = 0;

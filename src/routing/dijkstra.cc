@@ -22,7 +22,7 @@ void Dijkstra::Touch(NodeId v, Dist d, NodeId parent) {
 
 void Dijkstra::RunInternal(NodeId s, NodeId target, Direction dir,
                            Dist bound) {
-  ++round_;
+  NextRound(round_, stamp_);
   heap_.Clear();
   settled_.clear();
 

@@ -30,8 +30,9 @@ std::string Fixed(double v, int decimals) {
 }
 
 /// Below this many cache-missed pairs a multi-pair request stays on the
-/// worker's own session; at or above it, the engine's multi-thread batch
-/// fan-out outweighs its thread spawn/join overhead.
+/// worker's own session; at or above it, the engine's batch fan-out (idle
+/// pool threads joining this worker) outweighs the cost of waking helpers
+/// and leasing a session for each.
 constexpr std::size_t kParallelMissThreshold = 64;
 
 std::string JoinNames(const std::vector<std::string>& names) {

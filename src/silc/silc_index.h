@@ -36,7 +36,7 @@ struct SilcBuildStats {
 
 struct SilcParams {
   /// Worker threads for the per-source Dijkstra sweep (0 = the
-  /// util/parallel.h WorkerThreads() default). The index is bit-identical
+  /// util/worker_pool.h WorkerThreads() default). The index is bit-identical
   /// at any thread count: sources are processed in fixed chunks whose block
   /// lists are merged in chunk order.
   std::size_t build_threads = 0;

@@ -6,6 +6,7 @@
 // and throw std::runtime_error on any truncation or mismatch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
@@ -77,6 +78,9 @@ class BinaryReader {
     return version;
   }
 
+  /// Reads a length-prefixed vector in steps of 1 MiB or of all read so far
+  /// (the larger), so memory grows only with the bytes present: a corrupted
+  /// count on a short stream throws "truncated input", never bad_alloc.
   template <typename T>
   std::vector<T> Vector(std::uint64_t max_count = (1ull << 40)) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -84,10 +88,16 @@ class BinaryReader {
     if (count > max_count) {
       throw std::runtime_error("BinaryReader: implausible vector size");
     }
-    std::vector<T> values(count);
-    if (count > 0) {
-      in_.read(reinterpret_cast<char*>(values.data()),
-               static_cast<std::streamsize>(count * sizeof(T)));
+    constexpr std::uint64_t kFirstStep =
+        ((std::uint64_t{1} << 20) + sizeof(T) - 1) / sizeof(T);
+    std::vector<T> values;
+    while (values.size() < count) {
+      const std::uint64_t have = values.size();
+      const std::uint64_t step =
+          std::min(count - have, std::max(kFirstStep, have));
+      values.resize(static_cast<std::size_t>(have + step));
+      in_.read(reinterpret_cast<char*>(values.data() + have),
+               static_cast<std::streamsize>(step * sizeof(T)));
       if (!in_) throw std::runtime_error("BinaryReader: truncated input");
     }
     return values;

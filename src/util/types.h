@@ -1,6 +1,7 @@
 // Core scalar types shared across the library.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -23,5 +24,18 @@ inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr EdgeId kInvalidEdge = std::numeric_limits<EdgeId>::max();
 inline constexpr Dist kInfDist = std::numeric_limits<Dist>::max();
 inline constexpr Weight kMaxWeight = std::numeric_limits<Weight>::max();
+
+/// Advances a search's round counter (a node stamp equal to the round marks
+/// a label of the current search). On wrap it clears every array stamped
+/// with the counter and restarts at 1, so no stamp written 2^32 rounds
+/// earlier reads as current.
+template <typename... Stamps>
+std::uint32_t NextRound(std::uint32_t& round, Stamps&... stamps) {
+  if (++round == 0) {
+    (std::fill(stamps.begin(), stamps.end(), std::uint32_t{0}), ...);
+    round = 1;
+  }
+  return round;
+}
 
 }  // namespace ah

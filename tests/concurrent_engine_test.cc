@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -179,6 +181,42 @@ TEST(ConcurrentEngineTest, ConcurrentOneShotQueriesAreConsistent) {
       ASSERT_EQ(got[w][i], expected[j]) << "thread " << w << " pair " << j;
     }
   }
+}
+
+// Async jobs share the process-wide pool: the destructor must still wait
+// for every job the engine was given, queued or running, and the engine's
+// thread count must cap how many of its jobs run at once.
+TEST(ConcurrentEngineTest, DestructorRunsEveryJobItWasGiven) {
+  const Graph g = testing::MakeRoadGraph(6, 5);
+  const auto pairs = RandomPairs(g, 50, 4);
+  const auto expected = ReferenceDistances(g, pairs);
+  constexpr std::size_t kJobs = 200;
+  std::atomic<std::size_t> ran{0};
+  std::atomic<std::size_t> wrong{0};
+  std::atomic<int> running{0};
+  std::atomic<int> max_running{0};
+  {
+    ConcurrentEngine engine(MakeOracle("ch", g), 2);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      engine.SubmitAsync([&, i] {
+        const int now = running.fetch_add(1) + 1;
+        int seen = max_running.load();
+        while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
+        }
+        const auto& [s, t] = pairs[i % pairs.size()];
+        if (engine.Distance(s, t) != expected[i % pairs.size()]) {
+          wrong.fetch_add(1);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        running.fetch_sub(1);
+        ran.fetch_add(1);
+      });
+    }
+    EXPECT_GT(engine.AsyncQueueDepth(), 0u) << "200 sleeping jobs, 2 at once";
+  }
+  EXPECT_EQ(ran.load(), kJobs);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_LE(max_running.load(), 2);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -125,7 +127,8 @@ TEST(ManyToManyTest, SourceEqualsTargetIsZero) {
 }
 
 // One immutable engine queried from several threads at once: DistancesFrom
-// is const and allocates its own scratch, so concurrent callers must agree.
+// is const and searches with each thread's own scratch, so concurrent
+// callers must agree.
 TEST(ManyToManyTest, ConcurrentQueriesShareOneEngine) {
   Graph g = testing::MakeRoadGraph(16, 23);
   ChIndex ch = ChIndex::Build(g);
@@ -143,6 +146,36 @@ TEST(ManyToManyTest, ConcurrentQueriesShareOneEngine) {
   }
   for (auto& w : workers) w.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected);
+}
+
+// A long-lived scratch outlives 2^32 searches. The scratch first runs a few
+// searches at rounds 1, 2, ...; then its counter jumps to three short of
+// the wrap, as if 2^32 searches had passed. Every search across the wrap
+// must still answer exactly: without the reset, the rounds after the wrap
+// would read the nodes stamped at those early rounds as current, with the
+// distances of other sources.
+TEST(ManyToManyTest, RoundCounterWrapKeepsAnswersExact) {
+  Graph g = testing::MakeRoadGraph(16, 29);
+  ChIndex ch = ChIndex::Build(g);
+  Rng rng(29);
+  const std::vector<NodeId> targets = RandomNodes(g, 12, rng);
+  const TargetBuckets buckets(ch.search_graph(), targets, 1);
+  UpwardSearchScratch scratch(g.NumNodes());
+  Dijkstra dijkstra(g);
+  for (int search = 0; search < 14; ++search) {
+    if (search == 6) {
+      scratch.round = std::numeric_limits<std::uint32_t>::max() - 2;
+    }
+    const NodeId s = static_cast<NodeId>(rng.Uniform(g.NumNodes()));
+    std::vector<Dist> row(targets.size(), kInfDist);
+    CombineFromSource(ch.search_graph(), buckets, s, scratch, row);
+    for (std::size_t j = 0; j < targets.size(); ++j) {
+      ASSERT_EQ(row[j], dijkstra.Distance(s, targets[j]))
+          << "search " << search << " (round " << scratch.round << "), s=" << s
+          << " t=" << targets[j];
+    }
+  }
+  EXPECT_EQ(scratch.round, 6u) << "the counter restarts at 1 after the wrap";
 }
 
 }  // namespace

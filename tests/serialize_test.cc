@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ch/ch_index.h"
 #include "core/ah_query.h"
@@ -60,6 +61,37 @@ TEST(BinaryIoTest, TruncationDetected) {
   w.Pod<std::uint64_t>(10);  // Vector length without payload.
   BinaryReader r(ss);
   EXPECT_THROW(r.Vector<std::uint64_t>(), std::runtime_error);
+}
+
+// A corrupted count far beyond the bytes present (2^36 eight-byte
+// elements, a 512 GiB vector) must fail as truncated input after reading
+// what is there, not allocate for the count and die with bad_alloc.
+TEST(BinaryIoTest, HugeCountOnShortStreamIsTruncatedInput) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  w.Pod<std::uint64_t>(1ull << 36);
+  for (std::uint64_t i = 0; i < 100; ++i) w.Pod<std::uint64_t>(i);
+  BinaryReader r(ss);
+  try {
+    r.Vector<std::uint64_t>();
+    FAIL() << "a 2^36-element count on a 800-byte payload was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated input"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Vectors longer than one read step still round-trip exactly.
+TEST(BinaryIoTest, VectorLongerThanOneStepRoundTrips) {
+  std::vector<std::uint32_t> values(3 * (1u << 20) / sizeof(std::uint32_t) + 7);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  }
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  w.Vector(values);
+  BinaryReader r(ss);
+  EXPECT_EQ(r.Vector<std::uint32_t>(), values);
 }
 
 TEST(GraphSerializeTest, RoundTripPreservesEverything) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/types.h"
 
 namespace ah {
 namespace {
@@ -124,6 +127,20 @@ TEST(IndexedHeapTest, RandomizedAgainstStdPriorityQueue) {
       }
     }
   }
+}
+
+TEST(NextRoundTest, WrapClearsEveryStampArrayAndRestartsAtOne) {
+  std::uint32_t round = std::numeric_limits<std::uint32_t>::max() - 1;
+  std::vector<std::uint32_t> a = {0, 1, 2, round};
+  std::vector<std::uint32_t> b = {round, 7};
+  EXPECT_EQ(NextRound(round, a, b), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(a[3], std::numeric_limits<std::uint32_t>::max() - 1)
+      << "no clearing before the wrap";
+  EXPECT_EQ(NextRound(round, a, b), 1u);
+  EXPECT_EQ(round, 1u);
+  EXPECT_EQ(a, std::vector<std::uint32_t>(4, 0));
+  EXPECT_EQ(b, std::vector<std::uint32_t>(2, 0));
+  EXPECT_EQ(NextRound(round, a, b), 2u);
 }
 
 TEST(SampleStatsTest, MeanMinMax) {
