@@ -66,7 +66,10 @@ class BenchJson {
  private:
   static std::string Num(double v) {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    // Significant digits, not fixed decimals: sub-millisecond times in
+    // seconds and nanosecond-scale latencies in microseconds keep their
+    // precision.
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
   }
 

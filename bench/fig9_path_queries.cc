@@ -155,7 +155,10 @@ int main() {
       } gate_series[] = {{"ah", ah_us, ah_sum},
                          {"ch", ch_us, ch_sum},
                          {"hl", hl_us, hl_sum}};
+      // A set with no pairs (small scales leave Q1/Q2 empty) measured
+      // nothing, so it gets no gate series.
       for (const auto& s : gate_series) {
+        if (qs.pairs.empty()) continue;
         json.AddSeries(d.spec.name + "/" + s.name + "/path/" +
                            QuerySetLabel(qs.index),
                        s.us > 0 ? 1e6 / s.us : 0, s.us, s.us, s.sum);

@@ -23,9 +23,8 @@
 // average (wall / queries), not tail quantiles.
 //
 // Point/batch queries are drawn with repetition from a hot set of
-// AH_BENCH_HOTSET distinct pairs (default 512); matrices over the server's
-// matrix_cache_max_cells threshold bypass the cache and exercise the
-// bucketized matrix engine plus framing.
+// AH_BENCH_HOTSET distinct pairs (default 512); matrices always bypass the
+// cache and exercise the bucketized matrix engine plus framing.
 //
 // Env knobs: AH_BENCH_PAIRS (point queries, default 2000), AH_BENCH_BATCH
 // (pairs per batch request, default 256), AH_BENCH_MATRIX (matrix side,
@@ -87,8 +86,8 @@ std::vector<std::string> BackendsFromEnv() {
 
 // SALT-style hot workload: `count` queries drawn with repetition from a
 // pool of `hot_set` distinct pairs — the repeat-heavy traffic shape the
-// result cache (and post-swap warm-up) exists for. hot_set >= count
-// degenerates to all-distinct pairs.
+// result cache exists for. hot_set >= count degenerates to all-distinct
+// pairs.
 std::vector<QueryPair> HotPairs(const Graph& g, std::size_t count,
                                 std::size_t hot_set) {
   Rng rng(20130624);

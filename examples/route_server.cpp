@@ -281,7 +281,8 @@ int RunSmoke(const std::vector<std::string>& backends) {
       {"b 2 0 " + std::to_string(far) + " " + std::to_string(far) + " 0",
        "OK b 2 *"},
       // Many-to-many matrix: exact cells on the default and on a named
-      // backend; a repeat must be answered from per-pair cache entries.
+      // backend; a repeat (computed again, matrices bypass the cache) must
+      // be bit-identical.
       {matrix_query, matrix_reply(reference)},
       {"@" + second + " " + matrix_query, matrix_reply(reference)},
       {matrix_query, matrix_reply(reference)},
@@ -366,7 +367,8 @@ int RunSmoke(const std::vector<std::string>& backends) {
     SMOKE_CHECK(registry->Generation(backend) == 2, "generation bumped to 2");
   }
   // Same query, every backend: now the updated answer — the old epoch's
-  // cached entries (point and matrix alike) must not leak through.
+  // cached entries must not leak through, and the matrix is computed on
+  // the fresh epoch.
   SMOKE_CHECK(run_steps({{dist_query, FormatDistance(updated_expected)},
                          {"@" + second + " " + dist_query,
                           FormatDistance(updated_expected)},

@@ -260,15 +260,6 @@ void IndexRegistry::RemoveSwapListener(std::uint64_t token) {
                 [token](const auto& entry) { return entry.first == token; });
 }
 
-void IndexRegistry::SetWarmupHook(WarmupHook hook) {
-  MutexLock lock(mu_);
-  // Block while a warm-up round is running unlocked, so the caller can
-  // clear the hook (e.g. in its destructor) and know it will never fire
-  // again — the same handshake RemoveSwapListener uses.
-  while (warming_) cv_.Wait(lock);
-  warmup_hook_ = std::move(hook);
-}
-
 void IndexRegistry::Publish(EpochHandle epoch) {
   {
     WriterMutexLock lock(epochs_mu_);
@@ -403,32 +394,6 @@ void IndexRegistry::WorkerLoop() {
         BackendRebuildStats& rb = backend_rebuilds_[i];
         ++(incremental ? rb.incremental : rb.full);
         rb.last_rebuild_seconds = rebuild_timer.Seconds();
-      }
-      // Warm-up runs pre-publish: the fresh epoch is primed (e.g. the
-      // server recomputes its hottest cache entries on it) while the old
-      // epoch still answers every request, so the swap lands with a warm
-      // cache instead of a cold start.
-      WarmupHook warmup;
-      {
-        MutexLock lock(mu_);
-        warmup = warmup_hook_;
-        warming_ = warmup != nullptr;
-      }
-      if (warmup) {
-        try {
-          warmup(*epoch);
-        } catch (const std::exception& e) {
-          MutexLock lock(mu_);
-          last_error_ = names_[i] + " (warmup): " + e.what();
-        } catch (...) {
-          MutexLock lock(mu_);
-          last_error_ = names_[i] + " (warmup): unknown failure";
-        }
-        {
-          MutexLock lock(mu_);
-          warming_ = false;
-        }
-        cv_.NotifyAll();
       }
       // Swap this backend in as soon as it is ready — faster backends go
       // live while slower ones are still rebuilding.

@@ -213,19 +213,6 @@ class IndexRegistry {
   std::uint64_t AddSwapListener(SwapListener listener) AH_EXCLUDES(mu_);
   void RemoveSwapListener(std::uint64_t token) AH_EXCLUDES(mu_);
 
-  /// Registers the warm-up hook, invoked on the build worker thread with
-  /// each rebuilt epoch immediately *before* it is published — while the
-  /// old epoch still serves all traffic — so a server can re-prime its
-  /// hottest cache entries against the fresh index before the swap makes
-  /// them answer requests (swap listeners, by contrast, run after). One
-  /// hook at a time; pass nullptr to clear. The call blocks while a warm-up
-  /// round is running, so after SetWarmupHook(nullptr) returns the previous
-  /// hook is guaranteed never to run again (the hook's owner relies on this
-  /// in its destructor). A throwing hook is recorded in last_error and
-  /// never delays the swap further.
-  using WarmupHook = std::function<void(const IndexEpoch& fresh)>;
-  void SetWarmupHook(WarmupHook hook) AH_EXCLUDES(mu_);
-
  private:
   IndexRegistry() = default;  // AdoptStatic body.
 
@@ -259,9 +246,6 @@ class IndexRegistry {
   bool rebuild_in_flight_ AH_GUARDED_BY(mu_) = false;
   /// A swap-listener round is running unlocked.
   bool notifying_ AH_GUARDED_BY(mu_) = false;
-  /// The warm-up hook is running unlocked (pre-publish).
-  bool warming_ AH_GUARDED_BY(mu_) = false;
-  WarmupHook warmup_hook_ AH_GUARDED_BY(mu_);
   bool stop_ AH_GUARDED_BY(mu_) = false;
   std::uint64_t reloads_ AH_GUARDED_BY(mu_) = 0;
   std::uint64_t swaps_ AH_GUARDED_BY(mu_) = 0;

@@ -103,14 +103,12 @@ bool ResultCache::LookupInShard(Shard& shard, const CacheKey& key,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   }
   ++shard.stats.hits;
-  ++it->second->hits;
-  if (it->second->warmed) ++shard.stats.warmup_hits;
   *out = it->second->value;
   return true;
 }
 
 void ResultCache::Insert(const CacheKey& key, std::uint64_t generation,
-                         CachedResult value, bool warmed) {
+                         CachedResult value) {
   if (!Enabled()) return;
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
@@ -123,13 +121,10 @@ void ResultCache::Insert(const CacheKey& key, std::uint64_t generation,
     it->second->value = std::move(value);
     it->second->generation = generation;
     it->second->expiry = ExpiryFromNow();
-    it->second->warmed = warmed;
-    if (warmed) ++shard.stats.warmup_entries;
     return;
   }
-  if (warmed) ++shard.stats.warmup_entries;
   shard.lru.push_front(
-      Entry{key, std::move(value), generation, ExpiryFromNow(), 0, warmed});
+      Entry{key, std::move(value), generation, ExpiryFromNow()});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.stats.insertions;
   if (shard.lru.size() > per_shard_capacity_) {
@@ -147,38 +142,6 @@ void ResultCache::Clear() {
     shard.index.clear();
     ++shard.stats.clears;
   }
-}
-
-std::vector<CacheKey> ResultCache::HottestEntries(std::uint32_t backend,
-                                                  std::size_t k) const {
-  std::vector<std::pair<std::uint64_t, CacheKey>> hot;
-  if (k == 0) return {};
-  for (const auto& entry : shards_) {
-    const Shard& shard = *entry;
-    MutexLock lock(shard.mu);
-    for (const Entry& e : shard.lru) {
-      if (e.key.backend == backend && e.hits > 0) {
-        hot.emplace_back(e.hits, e.key);
-      }
-    }
-  }
-  const auto hotter = [](const std::pair<std::uint64_t, CacheKey>& a,
-                         const std::pair<std::uint64_t, CacheKey>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    if (a.second.s != b.second.s) return a.second.s < b.second.s;
-    if (a.second.t != b.second.t) return a.second.t < b.second.t;
-    return a.second.kind < b.second.kind;
-  };
-  if (hot.size() > k) {
-    std::partial_sort(hot.begin(), hot.begin() + k, hot.end(), hotter);
-    hot.resize(k);
-  } else {
-    std::sort(hot.begin(), hot.end(), hotter);
-  }
-  std::vector<CacheKey> keys;
-  keys.reserve(hot.size());
-  for (const auto& [hits, key] : hot) keys.push_back(key);
-  return keys;
 }
 
 std::size_t ResultCache::Size() const {
@@ -202,8 +165,6 @@ CacheStats ResultCache::Totals() const {
     totals.evictions += shard.stats.evictions;
     totals.invalidations += shard.stats.invalidations;
     totals.expirations += shard.stats.expirations;
-    totals.warmup_entries += shard.stats.warmup_entries;
-    totals.warmup_hits += shard.stats.warmup_hits;
   }
   // Clear() bumps every shard's clear counter; report calls, not
   // shard-calls.

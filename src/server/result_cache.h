@@ -60,8 +60,6 @@ struct CacheStats {
   std::uint64_t invalidations = 0;  ///< Stale-generation entries dropped.
   std::uint64_t expirations = 0;    ///< TTL-expired entries dropped.
   std::uint64_t clears = 0;         ///< Clear() calls (the `inv` verb).
-  std::uint64_t warmup_entries = 0;  ///< Warm inserts (post-swap re-primes).
-  std::uint64_t warmup_hits = 0;     ///< Hits answered by a warmed entry.
 
   double HitRate() const {
     const std::uint64_t total = hits + misses;
@@ -111,19 +109,9 @@ class ResultCache {
   /// (most-recently-used position), evicting the shard's least-recently-
   /// used entry when over budget. A refresh never downgrades: if the
   /// existing entry carries a newer generation, the insert is dropped.
-  /// `warmed` marks the value as a post-swap warm-up re-prime (counted as a
-  /// warmup entry; its later hits count as warmup hits) — a normal insert
-  /// or refresh clears the mark. Thread-safe.
+  /// Thread-safe.
   void Insert(const CacheKey& key, std::uint64_t generation,
-              CachedResult value, bool warmed = false);
-
-  /// The up-to-`k` most-hit keys of one backend, hottest first (ties broken
-  /// by key for determinism), skipping never-hit entries. Each entry keeps
-  /// a small hit counter bumped on Lookup; the registry's warm-up hook uses
-  /// this to decide which retiring entries to re-prime on a fresh epoch.
-  /// Scans every shard — swap-time cost, not query-path cost. Thread-safe.
-  std::vector<CacheKey> HottestEntries(std::uint32_t backend,
-                                       std::size_t k) const;
+              CachedResult value);
 
   /// Operator-facing full invalidation (the `inv` verb): drops every entry
   /// of every backend. Hit/miss counters persist; the clear counter
@@ -157,11 +145,6 @@ class ResultCache {
     CachedResult value;
     std::uint64_t generation = 0;
     Clock::time_point expiry = Clock::time_point::max();
-    /// Lookup hits on this key since insertion (survives refreshes) — the
-    /// popularity signal HottestEntries ranks by.
-    std::uint64_t hits = 0;
-    /// Value came from a post-swap warm-up, not a served request.
-    bool warmed = false;
   };
 
   struct Shard {

@@ -68,36 +68,17 @@ ServerStack::ServerStack(std::shared_ptr<IndexRegistry> registry,
       cache_(config.cache_capacity, config.cache_shards, config.cache_ttl),
       admission_(AdmissionConfig{config.admission_capacity,
                                  config.request_timeout,
-                                 config.admission_per_client}) {
-  if (config_.warmup_top_k > 0 && cache_.Enabled()) {
-    registry_->SetWarmupHook(
-        [this](const IndexEpoch& fresh) { WarmCache(fresh); });
-  }
-}
+                                 config.admission_per_client}) {}
 
 ServerStack::ServerStack(std::unique_ptr<DistanceOracle> oracle,
                          const ServerConfig& config)
     : ServerStack(IndexRegistry::AdoptStatic(std::move(oracle)), config) {}
 
-ServerStack::~ServerStack() {
-  // Clear the hook first: SetWarmupHook blocks while a warm-up runs, so
-  // after this no registry thread can touch the dying cache.
-  registry_->SetWarmupHook(nullptr);
-  WaitIdle();
-}
+ServerStack::~ServerStack() { WaitIdle(); }
 
-void ServerStack::Submit(std::string_view line, ReplyCallback done) {
-  SubmitInternal(line, std::nullopt, std::move(done));
-}
-
-void ServerStack::Submit(std::string_view line, std::uint64_t client_id,
+void ServerStack::Submit(std::string_view line,
+                         std::optional<std::uint64_t> client,
                          ReplyCallback done) {
-  SubmitInternal(line, client_id, std::move(done));
-}
-
-void ServerStack::SubmitInternal(std::string_view line,
-                                 std::optional<std::uint64_t> client,
-                                 ReplyCallback done) {
   wire_.v1_requests.fetch_add(1, std::memory_order_relaxed);
   ParseResult parsed = ParseRequest(line, Limits());
   SubmitParsed(std::move(parsed), client,
@@ -223,7 +204,7 @@ void ServerStack::SubmitParsed(ParseResult parsed,
 std::string ServerStack::HandleLine(std::string_view line, bool* close) {
   std::promise<std::pair<std::string, bool>> promise;
   std::future<std::pair<std::string, bool>> future = promise.get_future();
-  Submit(line, [&promise](std::string reply, bool do_close) {
+  Submit(line, std::nullopt, [&promise](std::string reply, bool do_close) {
     promise.set_value({std::move(reply), do_close});
   });
   auto [reply, do_close] = future.get();
@@ -527,70 +508,17 @@ Reply ServerStack::ExecuteMatrix(const std::vector<NodeId>& sources,
                                  const std::vector<NodeId>& targets,
                                  ConcurrentEngine::SessionLease& lease) {
   Timer timer;
-  const std::uint32_t backend_id = lease.epoch().backend_id;
-  const std::uint64_t generation = lease.epoch().generation;
-  const std::size_t num_targets = targets.size();
-
-  // All-pairs cache probe: a fully warm matrix is answered without touching
-  // the index at all. A single miss abandons the probe — recomputing the
-  // whole matrix through the bucket engine is cheaper than per-pair point
-  // queries for the misses. Matrices over matrix_cache_max_cells skip the
-  // cache in both directions (see ServerConfig).
-  std::vector<Dist> cells(sources.size() * num_targets, kInfDist);
-  const bool use_cache = cells.size() <= config_.matrix_cache_max_cells;
-  bool all_hit = use_cache;
-  for (std::size_t i = 0; all_hit && i < sources.size(); ++i) {
-    for (std::size_t j = 0; j < num_targets; ++j) {
-      CachedResult cached;
-      if (!cache_.Lookup(CacheKey{sources[i], targets[j],
-                                  CachedKind::kDistance, backend_id},
-                         generation, &cached)) {
-        all_hit = false;
-        break;
-      }
-      cells[i * num_targets + j] = cached.dist;
-    }
-  }
-  if (!all_hit) {
-    // Computed on the lease's own pinned epoch, so — unlike the batch
-    // fan-out in CachedDistances — every insert below is tagged with the
-    // generation that actually answered it; no monotonicity check needed.
-    cells = lease.epoch().oracle->DistanceMatrix(sources, targets,
-                                                 engine_.NumThreads());
-    for (std::size_t i = 0; use_cache && i < sources.size(); ++i) {
-      for (std::size_t j = 0; j < num_targets; ++j) {
-        cache_.Insert(CacheKey{sources[i], targets[j], CachedKind::kDistance,
-                               backend_id},
-                      generation, CachedResult{cells[i * num_targets + j], {}});
-      }
-    }
-  }
+  // Matrices bypass the result cache in both directions: the bucket engine
+  // answers all N*M cells on the lease's pinned epoch, and inserting them
+  // would only evict hot point entries.
+  std::vector<Dist> cells = lease.epoch().oracle->DistanceMatrix(
+      sources, targets, engine_.NumThreads());
   stats_.RecordOk(RequestClass::kMatrix, timer.Micros());
   Reply reply = OkReply(RequestKind::kMatrix);
   reply.num_sources = sources.size();
-  reply.num_targets = num_targets;
+  reply.num_targets = targets.size();
   reply.dists = std::move(cells);
   return reply;
-}
-
-void ServerStack::WarmCache(const IndexEpoch& fresh) {
-  const std::vector<CacheKey> hottest =
-      cache_.HottestEntries(fresh.backend_id, config_.warmup_top_k);
-  if (hottest.empty()) return;
-  // A private session on the unpublished epoch: the engine (and every
-  // client) is still leasing the old one, so this contends with nothing.
-  const std::unique_ptr<QuerySession> session = fresh.NewSession();
-  for (const CacheKey& key : hottest) {
-    if (key.kind == CachedKind::kDistance) {
-      const Dist d = session->Distance(key.s, key.t);
-      cache_.Insert(key, fresh.generation, CachedResult{d, {}},
-                    /*warmed=*/true);
-    } else {
-      const PathResult path = session->ShortestPath(key.s, key.t);
-      cache_.Insert(key, fresh.generation, CachedResult{path.length, path.nodes},
-                    /*warmed=*/true);
-    }
-  }
 }
 
 std::string ServerStack::StatsLine() const {
@@ -653,8 +581,6 @@ std::string ServerStack::StatsLine() const {
   AppendKv(&out, "cache_invalidations", std::to_string(cache.invalidations));
   AppendKv(&out, "cache_expirations", std::to_string(cache.expirations));
   AppendKv(&out, "cache_clears", std::to_string(cache.clears));
-  AppendKv(&out, "warmup_entries", std::to_string(cache.warmup_entries));
-  AppendKv(&out, "warmup_hits", std::to_string(cache.warmup_hits));
   for (std::size_t c = 0; c < kNumRequestClasses; ++c) {
     const auto request_class = static_cast<RequestClass>(c);
     const LatencyHistogram& hist = stats_.Histogram(request_class);

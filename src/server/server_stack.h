@@ -4,7 +4,8 @@
 //   front-end (TCP / stdin / tests)
 //     -> protocol.h        parse + strict validation, structured errors
 //     -> result_cache.h    sharded LRU over (src, dst, kind, backend),
-//                          generation-tagged entries + optional TTL
+//                          generation-tagged entries + optional TTL;
+//                          serves d/p/b/k, matrices bypass it
 //     -> admission.h       bounded in-flight budget + per-request deadlines
 //     -> ConcurrentEngine  epoch-pinned session leases over IndexRegistry
 //
@@ -68,26 +69,11 @@ struct ServerConfig {
   /// Max locations per matrix side (`m` requests); 0 disables the verb.
   /// Over-cap requests are answered ERR too-large.
   std::size_t max_matrix_locations = 512;
-  /// Matrices with more cells than this bypass the result cache entirely —
-  /// no per-cell probe, no inserts. Beyond a few thousand cells the
-  /// bucketized matrix engine answers faster than the N^2 cache lookups
-  /// would cost, and inserting one scan's N^2 entries would evict
-  /// genuinely hot point entries. 0 keeps every matrix off the cache.
-  std::size_t matrix_cache_max_cells = 1024;
   /// Max delta records accepted from one `updf` bulk file; over-cap files
   /// are answered ERR too-large. 0 disables the verb.
   std::size_t max_bulk_deltas = 1 << 20;
   /// Engine fan-out (0 = WorkerThreads() default).
   std::size_t num_threads = 0;
-  /// Post-swap cache warm-up: before each rebuilt epoch is published, the
-  /// top-K hottest cache entries of that backend (by per-entry hit count)
-  /// are recomputed on the fresh epoch and re-inserted under its
-  /// generation, so the swap lands with its hottest keys already warm.
-  /// 0 (the default) disables warm-up — swapped-backend entries then retire
-  /// lazily, invalidated on first touch. Runs on the registry's build
-  /// worker thread — swap latency grows by K point queries, typically
-  /// microseconds.
-  std::size_t warmup_top_k = 0;
 };
 
 /// Wire-level counters a front-end maintains alongside the stack's own
@@ -123,16 +109,14 @@ class ServerStack {
   /// Drains in-flight requests before the engine is torn down.
   ~ServerStack();
 
-  /// Handles one protocol line. `done` is invoked exactly once — inline for
-  /// parse errors, cache hits, sheds, and admin requests; from an engine
-  /// worker thread otherwise. `done` must not block for long and must stay
-  /// callable until invoked. Thread-safe.
-  void Submit(std::string_view line, ReplyCallback done);
-
-  /// Same, attributing the request to a client id (a TCP connection id) so
-  /// admission can enforce the per-client in-flight cap. Unattributed
-  /// Submit() calls only count against the global budget.
-  void Submit(std::string_view line, std::uint64_t client_id,
+  /// Handles one protocol line. `client` attributes the request to a client
+  /// id (a TCP connection id) so admission can enforce the per-client
+  /// in-flight cap; std::nullopt counts only against the global budget.
+  /// `done` is invoked exactly once — inline for parse errors, cache hits,
+  /// sheds, and admin requests; from an engine worker thread otherwise.
+  /// `done` must not block for long and must stay callable until invoked.
+  /// Thread-safe.
+  void Submit(std::string_view line, std::optional<std::uint64_t> client,
               ReplyCallback done);
 
   /// The v2 binary front-end's entry: an already-decoded request (from
@@ -184,10 +168,6 @@ class ServerStack {
   const ServerConfig& config() const { return config_; }
 
  private:
-  /// The shared text-path Submit() body; `client` attributes admission.
-  void SubmitInternal(std::string_view line,
-                      std::optional<std::uint64_t> client, ReplyCallback done);
-
   /// The protocol-independent brain both Submit paths share: inline
   /// answers, backend resolution, cache fast path, admission, async
   /// execution. Exactly one `done(Reply)` call.
@@ -211,11 +191,6 @@ class ServerStack {
   Reply ExecuteMatrix(const std::vector<NodeId>& sources,
                       const std::vector<NodeId>& targets,
                       ConcurrentEngine::SessionLease& lease);
-
-  /// The registry warm-up hook body: recompute the fresh epoch's backend's
-  /// top-K hottest cache entries on the not-yet-published epoch and insert
-  /// them under its generation, flagged warmed. Runs on the build worker.
-  void WarmCache(const IndexEpoch& fresh);
 
   /// Cache-through distances for a pair list: hits from the cache (keyed by
   /// the lease's backend + generation), misses computed (on the lease, or

@@ -20,7 +20,6 @@
 #include "graph/weight_update.h"
 #include "routing/dijkstra.h"
 #include "test_util.h"
-#include "util/thread_annotations.h"
 
 namespace ah {
 namespace {
@@ -478,75 +477,6 @@ TEST_F(RegistryTest, MinReloadIntervalCoalescesBackToBackRequests) {
   EXPECT_EQ(stats.reloads, 2u);          // 5 requests -> 1 extra cycle.
   EXPECT_EQ(stats.updates_applied, 1u);  // Same arc: deltas coalesced too.
   EXPECT_EQ(stats.pending_updates, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-up hook
-// ---------------------------------------------------------------------------
-
-// The hook fires once per backend on the build worker, with the rebuilt
-// epoch, strictly before that epoch is published: while the hook runs, the
-// registry still serves the old generation — the warm-up window in which a
-// cache can be re-primed without a single stale-epoch answer going out.
-TEST_F(RegistryTest, WarmupHookRunsPrePublishWithTheFreshEpoch) {
-  auto registry = MakeRegistry({"dijkstra", "ch"});
-  auto [updated, delta] = UpdatedGraph();
-  Dijkstra after(updated);
-  const NodeId far = static_cast<NodeId>(graph_.NumNodes() - 1);
-
-  struct Observation {
-    std::string backend;
-    std::uint64_t fresh_generation;
-    std::uint64_t published_generation;
-    Dist fresh_answer;
-  };
-  Mutex mu;
-  std::vector<Observation> seen;
-  registry->SetWarmupHook([&](const IndexEpoch& fresh) {
-    // Queries on the unpublished epoch must already see the new weights.
-    const Dist d = fresh.NewSession()->Distance(0, far);
-    MutexLock lock(mu);
-    seen.push_back(Observation{fresh.backend, fresh.generation,
-                               registry->Generation(fresh.backend), d});
-  });
-
-  ASSERT_EQ(registry->QueueWeightUpdate(delta.tail, delta.head, delta.weight),
-            IndexRegistry::UpdateStatus::kQueued);
-  ASSERT_TRUE(registry->RequestReload());
-  registry->WaitForRebuild();
-
-  {
-    MutexLock lock(mu);
-    ASSERT_EQ(seen.size(), 2u);  // once per backend
-    for (const Observation& obs : seen) {
-      EXPECT_EQ(obs.fresh_generation, 2u) << obs.backend;
-      EXPECT_EQ(obs.published_generation, 1u)
-          << obs.backend << ": hook must run before the swap";
-      EXPECT_EQ(obs.fresh_answer, after.Distance(0, far)) << obs.backend;
-    }
-  }
-
-  // Clearing the hook blocks out any in-flight warm-up; later swaps run
-  // without it.
-  registry->SetWarmupHook(nullptr);
-  ASSERT_TRUE(registry->RequestReload());
-  registry->WaitForRebuild();
-  MutexLock lock(mu);
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_TRUE(registry->GetStats().last_error.empty());
-}
-
-// A throwing hook must not block the swap — the epoch still publishes and
-// the failure is surfaced through last_error.
-TEST_F(RegistryTest, ThrowingWarmupHookDoesNotBlockTheSwap) {
-  auto registry = MakeRegistry({"dijkstra"});
-  registry->SetWarmupHook([](const IndexEpoch&) {
-    throw std::runtime_error("warm-up exploded");
-  });
-  ASSERT_TRUE(registry->RequestReload());
-  registry->WaitForRebuild();
-  EXPECT_EQ(registry->Generation("dijkstra"), 2u);  // published anyway
-  EXPECT_NE(registry->GetStats().last_error.find("warmup"), std::string::npos);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // cap), the v2 binary codec (request/reply round-trips, validation parity
 // with the text parser, and the ReplyFrameToText equivalence oracle),
 // result-cache correctness with generation tags and TTL (cached
-// answers cross-checked against Dijkstra, matrix replies retiring per-pair
-// entries across a hot swap), post-swap cache warm-up, admission-
+// answers cross-checked against Dijkstra, matrices bypassing the cache and
+// reflecting new weights after a hot swap), admission-
 // control shedding and deadlines under a saturated bounded queue, the
 // latency histogram, localhost TCP end-to-end smoke tests for both wire
 // protocols (negotiation, partial frames, oversized-frame rejection,
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -573,7 +574,7 @@ std::string MatrixQuery(const std::vector<NodeId>& sources,
   return query;
 }
 
-TEST_F(ServerStackTest, MatrixMatchesReferenceAndSeedsThePairCache) {
+TEST_F(ServerStackTest, MatrixMatchesReference) {
   ServerStack stack(MakeOracle("ch", graph_), SmallConfig());
   Dijkstra reference(graph_);
   const NodeId n = static_cast<NodeId>(graph_.NumNodes());
@@ -583,23 +584,40 @@ TEST_F(ServerStackTest, MatrixMatchesReferenceAndSeedsThePairCache) {
   for (const NodeId s : sources) {
     for (const NodeId t : targets) cells.push_back(reference.Distance(s, t));
   }
-  const std::string query = MatrixQuery(sources, targets);
-  const std::string expected = FormatMatrix(2, 2, cells);
+  EXPECT_EQ(stack.HandleLine(MatrixQuery(sources, targets)),
+            FormatMatrix(2, 2, cells));
+  EXPECT_EQ(stack.stats().OkCount(), 1u);
+}
 
-  EXPECT_EQ(stack.HandleLine(query), expected);
-  const CacheStats cold = stack.cache().Totals();
-  EXPECT_EQ(cold.insertions, 4u);  // one per-pair distance entry per cell
+// Matrices bypass the result cache in both directions, whatever their
+// size: no probe (hits and misses stay put) and no inserts, while every
+// cell still answers exactly and a repeat answers identically.
+TEST_F(ServerStackTest, MatricesNeverTouchTheResultCache) {
+  ServerStack stack(MakeOracle("ch", graph_), SmallConfig());
+  Dijkstra reference(graph_);
+  const NodeId n = static_cast<NodeId>(graph_.NumNodes());
+  for (const std::size_t side : {std::size_t{2}, std::size_t{40}}) {
+    std::vector<NodeId> sources, targets;
+    for (std::size_t i = 0; i < side; ++i) {
+      sources.push_back(static_cast<NodeId>(i % n));
+      targets.push_back(static_cast<NodeId>((i * 7 + 3) % n));
+    }
+    std::vector<Dist> cells;
+    for (const NodeId s : sources) {
+      for (const NodeId t : targets) cells.push_back(reference.Distance(s, t));
+    }
+    const std::string query = MatrixQuery(sources, targets);
+    const std::string expected = FormatMatrix(side, side, cells);
 
-  // A point query on a matrix-covered pair is served from the cache.
-  EXPECT_EQ(stack.HandleLine("d 0 " + std::to_string(n - 1)),
-            FormatDistance(cells[0]));
-  EXPECT_EQ(stack.cache().Totals().hits, cold.hits + 1);
-  EXPECT_EQ(stack.cache().Totals().insertions, cold.insertions);
-
-  // Repeating the matrix request answers entirely from the cache.
-  EXPECT_EQ(stack.HandleLine(query), expected);
-  EXPECT_EQ(stack.cache().Totals().insertions, cold.insertions);
-  EXPECT_EQ(stack.stats().OkCount(), 3u);
+    const CacheStats before = stack.cache().Totals();
+    EXPECT_EQ(stack.HandleLine(query), expected) << side << "x" << side;
+    EXPECT_EQ(stack.HandleLine(query), expected) << side << "x" << side;
+    const CacheStats after = stack.cache().Totals();
+    EXPECT_EQ(after.hits, before.hits) << side << "x" << side;
+    EXPECT_EQ(after.misses, before.misses) << side << "x" << side;
+    EXPECT_EQ(after.insertions, before.insertions) << side << "x" << side;
+  }
+  EXPECT_EQ(stack.cache().Size(), 0u);
 }
 
 TEST_F(ServerStackTest, MatrixCapAndDisabledAnswerTooLarge) {
@@ -615,11 +633,9 @@ TEST_F(ServerStackTest, MatrixCapAndDisabledAnswerTooLarge) {
   EXPECT_TRUE(StartsWith(disabled.HandleLine("d 0 1"), "OK d"));
 }
 
-// Matrix replies answered through the per-pair cache must be retired by
-// generation tag across a hot swap, exactly like point queries: after
-// upd+reload the same `m` request reflects the new weights, with no
-// Clear() involved.
-TEST_F(ServerStackTest, MatrixCacheEntriesAreRetiredByGenerationOnHotSwap) {
+// A matrix after upd+reload reflects the new weights, with no Clear()
+// involved: it is computed on the epoch the request leased.
+TEST_F(ServerStackTest, MatrixReflectsNewWeightsAfterHotSwap) {
   auto registry = std::make_shared<IndexRegistry>(
       graph_, std::vector<std::string>{"ch"});
   ServerStack stack(registry, SmallConfig());
@@ -645,12 +661,7 @@ TEST_F(ServerStackTest, MatrixCacheEntriesAreRetiredByGenerationOnHotSwap) {
   }
   ASSERT_NE(old_cells, new_cells) << "weight delta must change some cell";
   const std::string query = MatrixQuery(sources, targets);
-
-  // Warm the cache pre-swap, and prove the repeat is cache-served.
   ASSERT_EQ(stack.HandleLine(query), FormatMatrix(2, 2, old_cells));
-  ASSERT_EQ(stack.HandleLine(query), FormatMatrix(2, 2, old_cells));
-  const CacheStats warm = stack.cache().Totals();
-  EXPECT_GT(warm.hits, 0u);
 
   ASSERT_EQ(stack.HandleLine("upd 0 " + std::to_string(via) + " " +
                              std::to_string(new_weight)),
@@ -658,15 +669,8 @@ TEST_F(ServerStackTest, MatrixCacheEntriesAreRetiredByGenerationOnHotSwap) {
   ASSERT_EQ(stack.HandleLine("reload"), "OK reload 1");
   registry->WaitForRebuild();
 
-  // The stale per-pair entries are dropped on sight by generation tag and
-  // the matrix is recomputed on the new epoch.
   EXPECT_EQ(stack.HandleLine(query), FormatMatrix(2, 2, new_cells));
-  const CacheStats swapped = stack.cache().Totals();
-  EXPECT_GT(swapped.invalidations, 0u);
-  EXPECT_EQ(swapped.clears, 0u);
-  // And the refreshed entries serve point queries on the new graph.
-  EXPECT_EQ(stack.HandleLine("d 0 " + std::to_string(via)),
-            FormatDistance(new_cells[0]));
+  EXPECT_EQ(stack.cache().Totals().clears, 0u);
 }
 
 // Tie-heavy k-nearest through the protocol: every POI is equidistant from
@@ -735,7 +739,7 @@ TEST_F(ServerStackTest, SaturatedAdmissionQueueShedsInsteadOfHanging) {
 
   std::promise<std::string> admitted;
   std::future<std::string> admitted_reply = admitted.get_future();
-  stack.Submit("d 0 1", [&admitted](std::string reply, bool) {
+  stack.Submit("d 0 1", std::nullopt, [&admitted](std::string reply, bool) {
     admitted.set_value(std::move(reply));
   });
 
@@ -832,7 +836,7 @@ TEST_F(ServerStackTest, ExpiredDeadlineAnswersTimeout) {
 
   std::promise<std::string> delayed;
   std::future<std::string> delayed_reply = delayed.get_future();
-  stack.Submit("d 0 1", [&delayed](std::string reply, bool) {
+  stack.Submit("d 0 1", std::nullopt, [&delayed](std::string reply, bool) {
     delayed.set_value(std::move(reply));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -1908,65 +1912,6 @@ TEST_F(TcpServerTest, V2EveryOpcodeExercisedOnTheWire) {
   EXPECT_EQ(frame.header.status, kStatusOk);
   EXPECT_TRUE(v2.AtEof());
   tcp.Stop();
-}
-
-// ---------------------------------------------------------------------------
-// Post-swap cache warm-up
-// ---------------------------------------------------------------------------
-
-TEST_F(ServerStackTest, WarmupRePrimesHottestEntriesAcrossSwap) {
-  auto registry = std::make_shared<IndexRegistry>(
-      graph_, std::vector<std::string>{"dijkstra"});
-  ServerConfig config = SmallConfig();
-  config.warmup_top_k = 4;
-  ServerStack stack(registry, config);
-
-  ASSERT_GT(graph_.OutArcs(0).size(), 0u);
-  const NodeId via = graph_.OutArcs(0)[0].head;
-  const Weight new_weight =
-      static_cast<Weight>(graph_.OutArcs(0)[0].weight * 1000 + 1);
-  Graph updated = graph_;
-  updated.SetArcWeight(0, via, new_weight);
-  Dijkstra after(updated);
-
-  // Four hot keys: queried twice so their hit counters rank them.
-  const std::vector<std::pair<NodeId, NodeId>> hot_keys = {
-      {0, via}, {0, 9}, {3, 12}, {via, 0}};
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& [s, t] : hot_keys) {
-      stack.HandleLine("d " + std::to_string(s) + " " + std::to_string(t));
-    }
-  }
-
-  ASSERT_EQ(stack.HandleLine("upd 0 " + std::to_string(via) + " " +
-                             std::to_string(new_weight)),
-            "OK upd 1");
-  ASSERT_EQ(stack.HandleLine("reload"), "OK reload 1");
-  registry->WaitForRebuild();
-
-  // The swap re-primed the hottest entries on the fresh epoch before
-  // publishing it.
-  const CacheStats warmed = stack.cache().Totals();
-  EXPECT_EQ(warmed.warmup_entries, 4u);
-  EXPECT_EQ(warmed.warmup_hits, 0u);
-
-  // Re-querying the hot keys answers from the warmed entries: correct
-  // post-update values, no new insertions, no lazy invalidations.
-  const std::uint64_t insertions_before = warmed.insertions;
-  for (const auto& [s, t] : hot_keys) {
-    EXPECT_EQ(stack.HandleLine("d " + std::to_string(s) + " " +
-                               std::to_string(t)),
-              FormatDistance(after.Distance(s, t)));
-  }
-  const CacheStats served = stack.cache().Totals();
-  EXPECT_EQ(served.insertions, insertions_before);
-  EXPECT_EQ(served.warmup_hits, 4u);
-  EXPECT_EQ(served.invalidations, 0u);
-
-  // The stats line exports the warm-up counters.
-  const std::string stats = stack.StatsLine();
-  EXPECT_NE(stats.find("warmup_entries=4"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("warmup_hits=4"), std::string::npos) << stats;
 }
 
 }  // namespace

@@ -11,6 +11,8 @@ Hard failures (exit 1):
   * Any series' checksum differs: the answers themselves drifted — a
     correctness regression, machine-independent by construction (seeded
     inputs, integer distances, thread-count-deterministic algorithms).
+  * Any series in either file has qps 0: it measured nothing, so its
+    checksum proves nothing either.
 
 Soft failures (exit 0, warning on stderr + GitHub ::warning:: annotation):
   * A series' throughput dropped more than --qps-warn-pct percent (default
@@ -58,6 +60,14 @@ def main(argv: list[str]) -> int:
         failures.append(
             f"series '{name}' is new — regenerate the committed baseline"
         )
+
+    for label, series in (("baseline", baseline), ("run", current)):
+        for name in sorted(series):
+            if float(series[name].get("qps", 0.0)) == 0.0:
+                failures.append(
+                    f"series '{name}' has qps 0 in the {label} — it measured "
+                    "nothing"
+                )
 
     for name in sorted(set(baseline) & set(current)):
         base = baseline[name]
