@@ -1,5 +1,9 @@
 #include "api/index_registry.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
@@ -15,6 +19,18 @@ namespace {
 /// registries; the caller guarantees the graph outlives every epoch).
 std::shared_ptr<const Graph> UnownedGraph(const Graph& g) {
   return std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g);
+}
+
+/// Returns the memory a finished build freed to the OS. Builds allocate
+/// scratch on the pool threads that help them, and glibc keeps what each
+/// thread frees in that thread's arena, resident, until the same thread
+/// allocates again, which a pool thread that only builds may never do
+/// (measured on perfbench hot-hl: 16 MB of build scratch idle in two
+/// worker arenas while serving). A few ms per build.
+void ReleaseBuildScratch() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -51,6 +67,7 @@ IndexRegistry::IndexRegistry(Graph base,
     epoch->oracle = MakeOracle(names_[i], *base_, options_);
     current_[i] = std::move(epoch);
   }
+  ReleaseBuildScratch();
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
@@ -399,6 +416,7 @@ void IndexRegistry::WorkerLoop() {
       // live while slower ones are still rebuilding.
       Publish(std::move(epoch));
     }
+    ReleaseBuildScratch();
     {
       MutexLock lock(mu_);
       ++reloads_;

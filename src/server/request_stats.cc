@@ -25,7 +25,7 @@ std::uint64_t LatencyHistogram::BucketLowerBound(std::size_t index) {
 
 void LatencyHistogram::Record(double micros) {
   const std::uint64_t v =
-      micros <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(micros));
+      micros <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(micros * 1e3));
   buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -57,14 +57,14 @@ double LatencyHistogram::Quantile(double q) const {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen >= rank) {
       // Report the bucket's inclusive upper edge (exact for the linear
-      // buckets below 8us, ≤12.5% high otherwise).
-      if (i + 1 < kNumBuckets) {
-        return static_cast<double>(BucketLowerBound(i + 1) - 1);
-      }
-      return static_cast<double>(BucketLowerBound(i));
+      // buckets below 8ns, ≤12.5% high otherwise).
+      const std::uint64_t edge = i + 1 < kNumBuckets
+                                     ? BucketLowerBound(i + 1) - 1
+                                     : BucketLowerBound(i);
+      return static_cast<double>(edge) / 1e3;
     }
   }
-  return static_cast<double>(BucketLowerBound(kNumBuckets - 1));
+  return static_cast<double>(BucketLowerBound(kNumBuckets - 1)) / 1e3;
 }
 
 void LatencyHistogram::Reset() {

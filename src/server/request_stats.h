@@ -12,11 +12,13 @@
 
 namespace ah::server {
 
-/// Fixed-footprint latency histogram over microseconds: 8 sub-buckets per
-/// power of two (log-linear, ≤ ~12.5% relative bucket width), covering
-/// [0, 2^63) us. Record() is a single relaxed atomic increment, so any
-/// number of threads may record into one histogram; quantile reads are
-/// approximate under concurrent writes (exact once writers are done).
+/// Fixed-footprint latency histogram at nanosecond resolution: 8
+/// sub-buckets per power of two (log-linear, ≤ ~12.5% relative bucket
+/// width), covering [0, 2^63) ns. Samples go in and quantiles come out in
+/// (fractional) microseconds, so a sub-microsecond answer does not read as
+/// 0. Record() is a single relaxed atomic increment, so any number of
+/// threads may record into one histogram; quantile reads are approximate
+/// under concurrent writes (exact once writers are done).
 class LatencyHistogram {
  public:
   LatencyHistogram() = default;
@@ -32,8 +34,8 @@ class LatencyHistogram {
 
   std::uint64_t Count() const;
 
-  /// Nearest-rank quantile, q in [0, 1]; returns the upper edge of the
-  /// containing bucket (exact for samples < 8us). 0 when empty.
+  /// Nearest-rank quantile in microseconds, q in [0, 1]; returns the upper
+  /// edge of the containing bucket (exact for samples < 8ns). 0 when empty.
   double Quantile(double q) const;
 
   void Reset();

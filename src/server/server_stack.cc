@@ -29,6 +29,18 @@ std::string Fixed(double v, int decimals) {
   return buf;
 }
 
+/// Whether an admitted request runs on the calling thread instead of the
+/// engine queue: a point distance on a backend that answers it far below
+/// the cost of the queue hop it skips. `hl` answers in about 0.8 us
+/// (perfbench hot-hl, search.dist_us) against a hop of 7-9 us
+/// (engine.queue_wait_us). No measurement of `ch` or `ah` point distances
+/// exists to set a bound from, so they keep the queue, as do the searching
+/// backends, paths, batches, k-nearest and matrices: a slow request never
+/// holds up the front-end thread.
+bool RunsInline(const Request& request, const IndexEpoch& epoch) {
+  return request.kind == RequestKind::kDistance && epoch.backend == "hl";
+}
+
 /// Below this many cache-missed pairs a multi-pair request stays on the
 /// worker's own session; at or above it, the engine's batch fan-out (idle
 /// pool threads joining this worker) outweighs the cost of waking helpers
@@ -174,6 +186,13 @@ void ServerStack::SubmitParsed(ParseResult parsed,
                         " in flight), retry later"));
     return;
   }
+  // A cheap request runs here, on the front-end thread: the queue hop and
+  // its wake-ups would cost more than the search itself.
+  if (RunsInline(req, *epoch)) {
+    done(LeaseAndExecute(req, epoch->backend));
+    admission_.Release(client);
+    return;
+  }
   const AdmissionController::Deadline deadline = admission_.MakeDeadline();
   engine_.SubmitAsync([this, request = std::move(req), deadline, client,
                        done = std::move(done)]() mutable {
@@ -185,14 +204,8 @@ void ServerStack::SubmitParsed(ParseResult parsed,
     } else {
       // The lease pins whatever epoch is current at execution time — a swap
       // landing between submit and execution simply answers from the fresh
-      // index, and the cache insert below is tagged with that generation.
-      try {
-        ConcurrentEngine::SessionLease lease = engine_.Lease(request.backend);
-        reply = Execute(request, lease);
-      } catch (const std::exception& e) {
-        stats_.RecordError();
-        reply = ErrorReply(ErrorCode::kInternal, e.what());
-      }
+      // index, and the cache insert is tagged with that generation.
+      reply = LeaseAndExecute(request, request.backend);
     }
     done(std::move(reply));
     // Release after the reply is delivered so WaitIdle() implies every
@@ -334,6 +347,17 @@ Reply ServerStack::ExecuteAdmin(const Request& request) {
     default:
       stats_.RecordError();
       return ErrorReply(ErrorCode::kInternal, "not an admin request");
+  }
+}
+
+Reply ServerStack::LeaseAndExecute(const Request& request,
+                                   std::string_view backend) {
+  try {
+    ConcurrentEngine::SessionLease lease = engine_.Lease(backend);
+    return Execute(request, lease);
+  } catch (const std::exception& e) {
+    stats_.RecordError();
+    return ErrorReply(ErrorCode::kInternal, e.what());
   }
 }
 
@@ -586,8 +610,8 @@ std::string ServerStack::StatsLine() const {
     const LatencyHistogram& hist = stats_.Histogram(request_class);
     const std::string prefix(RequestClassName(request_class));
     AppendKv(&out, prefix + "_count", std::to_string(hist.Count()));
-    AppendKv(&out, prefix + "_p50_us", Fixed(hist.Quantile(0.5), 0));
-    AppendKv(&out, prefix + "_p99_us", Fixed(hist.Quantile(0.99), 0));
+    AppendKv(&out, prefix + "_p50_us", Fixed(hist.Quantile(0.5), 3));
+    AppendKv(&out, prefix + "_p99_us", Fixed(hist.Quantile(0.99), 3));
   }
   return out;
 }

@@ -7,7 +7,10 @@
 //                          generation-tagged entries + optional TTL;
 //                          serves d/p/b/k, matrices bypass it
 //     -> admission.h       bounded in-flight budget + per-request deadlines
-//     -> ConcurrentEngine  epoch-pinned session leases over IndexRegistry
+//     -> ConcurrentEngine  epoch-pinned session leases over IndexRegistry;
+//                          cheap point queries (`hl` distances) lease and
+//                          run on the calling thread, the rest go through
+//                          the engine's async queue
 //
 // One ServerStack serves any number of front-end threads concurrently, over
 // one or more backends published by an epoch-versioned IndexRegistry
@@ -19,9 +22,10 @@
 // backend retire by generation tag without a global flush.
 //
 // The primary entry point is the callback-style Submit(): parse errors,
-// cache hits, load sheds, and admin verbs are answered synchronously on the
-// calling thread (they never cost an index query), everything else is
-// executed on the engine's async workers and answered through the callback.
+// cache hits, load sheds, admin verbs, and admitted `hl` distances are
+// answered synchronously on the calling thread (none costs more than about
+// a microsecond of index work), everything else is executed on the
+// engine's async workers and answered through the callback.
 // HandleLine() is the blocking convenience the stdin REPL and simple tests
 // use.
 #pragma once
@@ -112,8 +116,9 @@ class ServerStack {
   /// Handles one protocol line. `client` attributes the request to a client
   /// id (a TCP connection id) so admission can enforce the per-client
   /// in-flight cap; std::nullopt counts only against the global budget.
-  /// `done` is invoked exactly once — inline for parse errors, cache hits,
-  /// sheds, and admin requests; from an engine worker thread otherwise.
+  /// `done` is invoked exactly once — inline (before Submit returns) for
+  /// parse errors, cache hits, sheds, admin requests, and admitted
+  /// distances on an `hl` backend; from an engine worker thread otherwise.
   /// `done` must not block for long and must stay callable until invoked.
   /// Thread-safe.
   void Submit(std::string_view line, std::optional<std::uint64_t> client,
@@ -176,6 +181,10 @@ class ServerStack {
 
   /// Answers the admin verbs (use/upd/updf/reload) inline. Never throws.
   Reply ExecuteAdmin(const Request& request);
+
+  /// Leases a session on `backend`'s current epoch and executes the
+  /// admitted request on it. Never throws.
+  Reply LeaseAndExecute(const Request& request, std::string_view backend);
 
   /// Executes an admitted query request on an epoch-pinned session lease
   /// and updates cache + stats. Never throws.

@@ -28,6 +28,10 @@ std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+/// The server whose I/O thread this is (null on every other thread): a
+/// reply callback reads it to tell whether it runs on that I/O thread.
+thread_local const TcpServer* io_thread_server = nullptr;
+
 }  // namespace
 
 TcpServer::TcpServer(ServerStack& stack, const TcpServerConfig& config)
@@ -99,6 +103,7 @@ void TcpServer::Stop() {
   connections_.clear();
   conn_fd_by_id_.clear();
   num_connections_.store(0, std::memory_order_relaxed);
+  io_replies_.clear();
   {
     MutexLock lock(replies_mu_);
     pending_replies_.clear();
@@ -112,6 +117,7 @@ void TcpServer::Stop() {
 }
 
 void TcpServer::IoLoop() {
+  io_thread_server = this;
   std::vector<pollfd> fds;
   std::vector<std::pair<int, std::uint64_t>> event_conns;  // (fd, conn id)
   while (!stop_.load(std::memory_order_acquire)) {
@@ -213,6 +219,9 @@ void TcpServer::HandleReadable(Connection& conn) {
       conn.inbuf.append(buf, static_cast<std::size_t>(n));
       stack_.wire().bytes_in.fetch_add(static_cast<std::uint64_t>(n),
                                        std::memory_order_relaxed);
+      // A short read drained the socket; poll() is level-triggered and
+      // reports any later bytes, so a second recv would only see EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -230,7 +239,7 @@ void TcpServer::HandleReadable(Connection& conn) {
 
   if (conn.mode == WireMode::kBinary) {
     PumpFrames(conn);
-    SettleConnection(conn);
+    DeliverReplies({}, conn.fd);
     return;
   }
 
@@ -255,7 +264,7 @@ void TcpServer::HandleReadable(Connection& conn) {
   }
 
   PumpRequests(conn);
-  SettleConnection(conn);
+  DeliverReplies({}, conn.fd);
 }
 
 bool TcpServer::DecideMode(Connection& conn) {
@@ -289,9 +298,8 @@ void TcpServer::PumpRequests(Connection& conn) {
   conn.awaiting_reply = true;
   const std::uint64_t id = conn.id;
   // NOTE: `conn` may be gone by the time the callback runs; only the id is
-  // captured. The callback always goes through the reply queue — even when
-  // Submit answers inline on this thread — so there is exactly one
-  // reply-delivery path.
+  // captured. A reply answered inline on this thread is only listed here
+  // and delivered after the pump returns, so delivery never re-enters it.
   stack_.Submit(line, id, [this, id](std::string reply, bool close) {
     reply += '\n';
     EnqueueReply(id, std::move(reply), close);
@@ -342,8 +350,8 @@ void TcpServer::PumpFrames(Connection& conn) {
     conn.inbuf.erase(0, total);
     ++conn.inflight_frames;
     const std::uint64_t id = conn.id;
-    // As in PumpRequests: only the id outlives this scope; the reply is
-    // encoded on the worker thread, keeping the I/O thread out of it.
+    // As in PumpRequests: only the id outlives this scope; a reply made on
+    // an engine worker is encoded there, keeping the I/O thread out of it.
     stack_.SubmitDecoded(
         std::move(parsed), id,
         [this, id, op = header.opcode, rid = header.request_id](Reply reply) {
@@ -406,6 +414,10 @@ void TcpServer::CloseConnection(int fd) {
 
 void TcpServer::EnqueueReply(std::uint64_t conn_id, std::string reply,
                              bool close) {
+  if (io_thread_server == this) {
+    io_replies_.push_back(PendingReply{conn_id, std::move(reply), close});
+    return;
+  }
   {
     MutexLock lock(replies_mu_);
     pending_replies_.push_back(PendingReply{conn_id, std::move(reply), close});
@@ -419,34 +431,47 @@ void TcpServer::DrainReplies() {
     MutexLock lock(replies_mu_);
     replies.swap(pending_replies_);
   }
+  DeliverReplies(std::move(replies));
+}
+
+void TcpServer::DeliverReplies(std::vector<PendingReply> replies,
+                               int settle_fd) {
   // Two passes: append every ready reply to its connection's buffer first,
   // then flush each touched connection once. A pipelined client with many
   // replies in this drain gets them in one send() instead of one per
   // reply. Safe to defer the flush: nothing in the first pass closes a
   // connection, so the fds collected stay valid.
   std::vector<int> touched;
-  for (PendingReply& reply : replies) {
-    const auto id_it = conn_fd_by_id_.find(reply.conn_id);
-    if (id_it == conn_fd_by_id_.end()) continue;  // connection already closed
-    const auto it = connections_.find(id_it->second);
-    if (it == connections_.end()) continue;
-    Connection& conn = it->second;
-    conn.outbuf += reply.reply;
-    if (conn.mode == WireMode::kBinary) {
-      if (conn.inflight_frames > 0) --conn.inflight_frames;
-    } else {
-      conn.awaiting_reply = false;
+  if (settle_fd >= 0) touched.push_back(settle_fd);
+  while (true) {
+    for (PendingReply& reply : replies) {
+      const auto id_it = conn_fd_by_id_.find(reply.conn_id);
+      if (id_it == conn_fd_by_id_.end()) continue;  // already closed
+      const auto it = connections_.find(id_it->second);
+      if (it == connections_.end()) continue;
+      Connection& conn = it->second;
+      conn.outbuf += reply.reply;
+      if (conn.mode == WireMode::kBinary) {
+        if (conn.inflight_frames > 0) --conn.inflight_frames;
+      } else {
+        conn.awaiting_reply = false;
+      }
+      if (reply.close) {
+        conn.closing = true;
+        conn.pending_lines.clear();
+        conn.inbuf.clear();
+      } else if (conn.mode == WireMode::kBinary) {
+        PumpFrames(conn);  // a freed in-flight slot may admit buffered frames
+      } else {
+        PumpRequests(conn);
+      }
+      touched.push_back(it->first);
     }
-    if (reply.close) {
-      conn.closing = true;
-      conn.pending_lines.clear();
-      conn.inbuf.clear();
-    } else if (conn.mode == WireMode::kBinary) {
-      PumpFrames(conn);  // a freed in-flight slot may admit buffered frames
-    } else {
-      PumpRequests(conn);
-    }
-    touched.push_back(it->first);
+    // The pumps above may have answered requests inline, onto io_replies_:
+    // deliver those in the next round (a loop, however long the pipeline).
+    if (io_replies_.empty()) break;
+    replies.clear();
+    replies.swap(io_replies_);
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());

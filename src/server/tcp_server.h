@@ -1,9 +1,11 @@
 // TCP front-end over a ServerStack: one poll()-driven I/O thread, plain
-// POSIX sockets, no external dependencies. The I/O thread never executes a
-// query — it parses nothing heavy and blocks on nothing; complete requests
-// are handed to the ServerStack and replies come back through a
-// self-pipe-woken queue, so slow queries on the engine workers cannot stall
-// accepting connections or reading other clients.
+// POSIX sockets, no external dependencies. The I/O thread blocks on nothing;
+// complete requests are handed to the ServerStack. The replies it answers
+// on this thread (errors, cache hits, admin verbs, `hl` distances — see
+// server_stack.h) go on an I/O-thread-only list and are delivered as soon
+// as the submitting pass returns, with no lock and no wake-up. Replies made
+// on the engine workers come back through a self-pipe-woken queue, so slow
+// queries cannot stall accepting connections or reading other clients.
 //
 // Both wire protocols share the port. Every connection is greeted with the
 // v1 text banner; its first bytes then pick the mode (binary_protocol.h):
@@ -115,7 +117,7 @@ class TcpServer {
   struct PendingReply {
     std::uint64_t conn_id = 0;
     /// Final wire bytes — a newline-terminated v1 line or a complete v2
-    /// frame; DrainReplies appends it verbatim.
+    /// frame; DeliverReplies appends it verbatim.
     std::string reply;
     bool close = false;
   };
@@ -140,10 +142,18 @@ class TcpServer {
   /// false when the connection was closed (the reference is then dangling).
   bool SettleConnection(Connection& conn);
   void CloseConnection(int fd);
-  /// Called from engine workers (or inline): queue a reply and wake poll.
+  /// Reply callbacks end here. On the I/O thread the reply goes on
+  /// io_replies_; from an engine worker it is queued and poll is woken.
   void EnqueueReply(std::uint64_t conn_id, std::string reply, bool close)
       AH_EXCLUDES(replies_mu_);
+  /// Delivers the worker replies queued since the last drain.
   void DrainReplies() AH_EXCLUDES(replies_mu_);
+  /// Appends each reply to its connection's buffer and submits the next
+  /// request the freed slot admits; replies answered inline by those
+  /// submissions are delivered in the same loop. Then settles each touched
+  /// connection once, plus `settle_fd` (when open) — the caller must not
+  /// settle it again, as settling may close it.
+  void DeliverReplies(std::vector<PendingReply> replies, int settle_fd = -1);
   void WakeIoThread();
 
   ServerStack& stack_;
@@ -160,6 +170,7 @@ class TcpServer {
   std::unordered_map<int, Connection> connections_;        // by fd
   std::unordered_map<std::uint64_t, int> conn_fd_by_id_;
   std::uint64_t next_conn_id_ = 1;
+  std::vector<PendingReply> io_replies_;  // made on this thread, undelivered
 
   // Crossed between engine workers and the I/O thread.
   Mutex replies_mu_;

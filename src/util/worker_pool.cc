@@ -55,7 +55,7 @@ void WorkerPool::Submit(JobQueue& queue, std::function<void()> job) {
     ++queue.running_;
     ++queue.ready_tokens_;
     ready_.push_back(Task{&queue, nullptr});
-    ready_jobs_.fetch_add(1);
+    unclaimed_turns_.fetch_add(1);
   }
   work_cv_.NotifyOne();
 }
@@ -78,7 +78,7 @@ void WorkerPool::FinishLocked(JobQueue& queue) {
   }
   ++queue.ready_tokens_;
   ready_.push_back(Task{&queue, nullptr});
-  ready_jobs_.fetch_add(1);
+  unclaimed_turns_.fetch_add(1);
   // This worker takes the front entry next; wake another if that is not it.
   if (ready_.size() > 1) work_cv_.NotifyOne();
 }
@@ -98,7 +98,7 @@ void WorkerPool::WorkerLoop() {
       ready_.pop_front();
       if (task.queue != nullptr) {
         --task.queue->ready_tokens_;
-        ready_jobs_.fetch_sub(1);
+        ClaimTurn();  // unless a helper already yielded to this turn
         job = std::move(task.queue->jobs_.front());
         task.queue->jobs_.pop_front();
       }

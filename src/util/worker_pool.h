@@ -70,10 +70,11 @@ class WorkerPool {
   }
 
   /// True when the participant in `slot` should stop claiming work: the
-  /// caller never yields; helpers do while a job waits for a thread, so a
-  /// long build fan-out cannot hold served requests back.
-  bool ShouldYield(std::size_t slot) const {
-    return slot != 0 && ready_jobs_.load() > 0;
+  /// caller never yields; a helper does when it claims the turn of a job
+  /// waiting for a thread, so a long build fan-out cannot hold served
+  /// requests back, yet only one helper leaves per waiting job.
+  bool ShouldYield(std::size_t slot) {
+    return slot != 0 && ClaimTurn();
   }
 
   /// Threads started over the pool's lifetime — its size, as none exits.
@@ -88,6 +89,14 @@ class WorkerPool {
   };
 
   WorkerPool() = default;
+  /// Takes one unclaimed turn; false when none is left.
+  bool ClaimTurn() {
+    std::size_t turns = unclaimed_turns_.load();
+    while (turns > 0 &&
+           !unclaimed_turns_.compare_exchange_weak(turns, turns - 1)) {
+    }
+    return turns > 0;
+  }
   void ForkErased(std::size_t participants, void (*run)(void*, std::size_t),
                   void* ctx) AH_EXCLUDES(mu_);
   static void Help(ForkState& fork);
@@ -103,7 +112,9 @@ class WorkerPool {
   std::deque<Task> ready_ AH_GUARDED_BY(mu_);
   std::size_t idle_ AH_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> workers_ AH_GUARDED_BY(mu_);
-  std::atomic<std::size_t> ready_jobs_{0};  // JobQueue turns in ready_
+  /// JobQueue turns in ready_ that no helper has yielded to yet; a worker
+  /// starting a turn consumes one if any is left.
+  std::atomic<std::size_t> unclaimed_turns_{0};
   std::atomic<std::uint64_t> threads_started_{0};
 };
 

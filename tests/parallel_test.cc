@@ -289,6 +289,72 @@ TEST(WorkerPoolTest, QueuedJobTakesAHelpersThreadAtAChunkBoundary) {
       << "the job waited for most of the fan-out";
 }
 
+// One queued job takes exactly one helper's thread: every other helper
+// keeps claiming chunks after the job has run, until the fan-out ends.
+TEST(WorkerPoolTest, OneQueuedJobTakesExactlyOneHelper) {
+  WorkerPool& pool = WorkerPool::Shared();
+  ExpectFullCoverage(64, 1, 4);  // starts the pool
+  {
+    // With every worker held, a queued job waits for a thread: of the
+    // helpers asking at their chunk boundaries, only the first yields.
+    std::promise<void> all_busy;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::thread holder([&] {
+      OnEveryWorker([&, first = std::make_shared<std::once_flag>()] {
+        std::call_once(*first, [&] { all_busy.set_value(); });
+        gate.wait();
+      });
+    });
+    all_busy.get_future().wait();
+    WorkerPool::JobQueue queue(1);
+    std::atomic<bool> job_ran{false};
+    pool.Submit(queue, [&] { job_ran = true; });
+    EXPECT_FALSE(pool.ShouldYield(0));  // the caller never yields
+    EXPECT_TRUE(pool.ShouldYield(1));
+    EXPECT_FALSE(pool.ShouldYield(2));
+    EXPECT_FALSE(pool.ShouldYield(3));
+    release.set_value();
+    holder.join();
+    pool.Drain(queue);
+    EXPECT_TRUE(job_ran.load());
+  }
+  // The same in a real fan-out, with every idle worker helping.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t workers = pool.ThreadsStarted();
+  WorkerPool::JobQueue queue(1);
+  constexpr std::size_t kChunks = 600;
+  std::vector<std::atomic<bool>> joined(workers + 1);
+  std::vector<std::atomic<bool>> ran_after_job(workers + 1);
+  std::atomic<std::size_t> helpers{0};
+  std::atomic<bool> submitted{false};
+  std::atomic<bool> job_ran{false};
+  ParallelChunks(
+      kChunks, 1,
+      [&](std::size_t c, std::size_t, std::size_t, std::size_t tid) {
+        if (tid != 0 && !joined[tid].exchange(true)) helpers.fetch_add(1);
+        // Queue the job once every idle worker has joined as a helper.
+        if (tid == 0 && !submitted.load() &&
+            (helpers.load() == workers || c >= kChunks / 4)) {
+          submitted = true;
+          pool.Submit(queue, [&] { job_ran = true; });
+        }
+        if (job_ran.load()) ran_after_job[tid] = true;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      },
+      workers + 1);
+  pool.Drain(queue);
+  ASSERT_TRUE(job_ran.load());
+  std::size_t stayed = 0;
+  for (std::size_t tid = 1; tid <= workers; ++tid) {
+    if (ran_after_job[tid].load()) ++stayed;
+  }
+  ASSERT_GE(helpers.load(), 1u);
+  EXPECT_EQ(stayed, helpers.load() - 1)
+      << helpers.load() << " helpers joined; exactly one should leave";
+  EXPECT_TRUE(ran_after_job[0].load());
+}
+
 // An exception thrown by any participant's chunk reaches the caller once
 // every participant has left; the windowed form must not leave anyone
 // waiting for the chunk that never completed.

@@ -249,20 +249,33 @@ TEST(ProtocolTest, FormatsDistinguishUnreachableFromErrors) {
 // LatencyHistogram
 // ---------------------------------------------------------------------------
 
+// Samples are microseconds, buckets nanoseconds: exact below 8 ns, within
+// one log-linear bucket width (12.5%) above.
 TEST(LatencyHistogramTest, ExactForSmallValuesAndBoundedErrorAbove) {
   LatencyHistogram hist;
   EXPECT_EQ(hist.Quantile(0.5), 0);
-  for (int v : {0, 1, 2, 3, 4, 5, 6, 7}) hist.Record(v);
+  for (int ns : {0, 1, 2, 3, 4, 5, 6, 7}) hist.Record(ns / 1e3);
   EXPECT_EQ(hist.Count(), 8u);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.0), 0);   // rank clamps to 1st sample
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 3);   // nearest rank: 4th of 8
-  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 7);
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.0), 0);      // rank clamps to 1st sample
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.003);  // nearest rank: 4th of 8
+  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 0.007);
 
-  LatencyHistogram coarse;
-  coarse.Record(1000.0);
-  const double q = coarse.Quantile(0.99);
-  EXPECT_GE(q, 1000.0);
-  EXPECT_LE(q, 1000.0 * 1.125 + 1);  // log-linear bucket width
+  for (const double us : {3.0, 1000.0}) {
+    LatencyHistogram coarse;
+    coarse.Record(us);
+    const double q = coarse.Quantile(0.99);
+    EXPECT_GE(q, us);
+    EXPECT_LE(q, us * 1.125);  // log-linear bucket width
+  }
+}
+
+// An inline hub-label answer takes well under a microsecond of index work;
+// its latency must not round to 0.
+TEST(LatencyHistogramTest, SubMicrosecondSamplesDoNotReadAsZero) {
+  LatencyHistogram hist;
+  hist.Record(0.3);
+  EXPECT_GE(hist.Quantile(0.5), 0.3);
+  EXPECT_LE(hist.Quantile(0.5), 0.3 * 1.125);
 }
 
 TEST(LatencyHistogramTest, MergeAndReset) {
@@ -272,7 +285,8 @@ TEST(LatencyHistogramTest, MergeAndReset) {
   for (int i = 0; i < 50; ++i) b.Record(1 << 20);
   a.Merge(b);
   EXPECT_EQ(a.Count(), 100u);
-  EXPECT_DOUBLE_EQ(a.Quantile(0.25), 1);
+  EXPECT_GE(a.Quantile(0.25), 1);
+  EXPECT_LE(a.Quantile(0.25), 1.125);
   EXPECT_GE(a.Quantile(0.99), 1 << 20);
   a.Reset();
   EXPECT_EQ(a.Count(), 0u);
@@ -845,6 +859,114 @@ TEST_F(ServerStackTest, ExpiredDeadlineAnswersTimeout) {
   EXPECT_TRUE(StartsWith(delayed_reply.get(), "ERR timeout"));
   stack.WaitIdle();
   EXPECT_EQ(stack.admission().Totals().expired, 1u);
+}
+
+// Which admitted requests run inline: with the engine's only worker
+// blocked, an `hl` distance is still answered before Submit/SubmitDecoded
+// returns; a `dijkstra` distance and an `hl` path wait for that worker.
+TEST_F(ServerStackTest, HlDistancesRunInlineOtherRequestsQueue) {
+  auto registry = std::make_shared<IndexRegistry>(
+      graph_, std::vector<std::string>{"hl", "dijkstra"});
+  ServerConfig config = SmallConfig();
+  config.cache_capacity = 0;  // no answer comes from the cache
+  config.num_threads = 1;     // one engine worker to block
+  ServerStack stack(registry, config);
+  Dijkstra reference(graph_);
+  const NodeId far = static_cast<NodeId>(graph_.NumNodes() - 1);
+  const std::string pair = " 0 " + std::to_string(far);
+  const std::string expect = FormatDistance(reference.Distance(0, far));
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  stack.engine().SubmitAsync([gate]() { gate.wait(); });
+
+  std::optional<std::string> text;
+  stack.Submit("@hl d" + pair, std::nullopt,
+               [&text](std::string reply, bool) { text = std::move(reply); });
+  ASSERT_TRUE(text.has_value()) << "an hl distance is answered inline";
+  EXPECT_EQ(*text, expect);
+
+  std::optional<Reply> decoded;
+  stack.SubmitDecoded(ParseRequest("@hl d" + pair, stack.Limits()), 7,
+                      [&decoded](Reply reply) { decoded = std::move(reply); });
+  ASSERT_TRUE(decoded.has_value()) << "an hl v2 distance is answered inline";
+  EXPECT_EQ(FormatReply(*decoded), expect);
+
+  std::vector<std::future<std::string>> queued;
+  for (const std::string& line : {"@dijkstra d" + pair, "@hl p" + pair}) {
+    auto reply = std::make_shared<std::promise<std::string>>();
+    queued.push_back(reply->get_future());
+    stack.Submit(line, std::nullopt, [reply](std::string text, bool) {
+      reply->set_value(std::move(text));
+    });
+    EXPECT_EQ(queued.back().wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << line << " must wait for the blocked worker";
+  }
+  release.set_value();
+  EXPECT_EQ(queued[0].get(), expect);
+  const std::vector<std::string> path = Tokens(queued[1].get());
+  ASSERT_GE(path.size(), 3u);
+  EXPECT_EQ(path[0] + " " + path[1] + " " + path[2], "OK p " +
+                std::to_string(reference.Distance(0, far)));
+  stack.WaitIdle();
+}
+
+// Inline requests pass through admission like queued ones: each is
+// counted as admitted and released before Submit returns, and a client at
+// its per-client cap is shed before anything runs inline.
+TEST_F(ServerStackTest, InlineRequestsKeepAdmissionAccountingExact) {
+  auto registry = std::make_shared<IndexRegistry>(
+      graph_, std::vector<std::string>{"hl", "dijkstra"});
+  ServerConfig config = SmallConfig();
+  config.cache_capacity = 0;
+  config.admission_per_client = 1;
+  config.num_threads = 1;
+  ServerStack stack(registry, config);
+
+  for (int t = 0; t < 5; ++t) {
+    EXPECT_TRUE(StartsWith(stack.HandleLine("@hl d 0 " + std::to_string(t)),
+                           "OK d"));
+    EXPECT_EQ(stack.admission().InFlight(), 0u);
+  }
+  EXPECT_EQ(stack.admission().Totals().admitted, 5u);
+
+  // Client 1 holds its one slot with a queued request behind a blocked
+  // worker; its inline request is shed, client 2's is answered.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  stack.engine().SubmitAsync([gate]() { gate.wait(); });
+  std::promise<std::string> held;
+  std::future<std::string> held_reply = held.get_future();
+  stack.Submit("@dijkstra d 0 1", 1, [&held](std::string reply, bool) {
+    held.set_value(std::move(reply));
+  });
+  std::string shed;
+  stack.Submit("@hl d 0 2", 1,
+               [&shed](std::string reply, bool) { shed = std::move(reply); });
+  EXPECT_TRUE(StartsWith(shed, "ERR overload")) << shed;
+  EXPECT_EQ(stack.admission().Totals().shed_per_client, 1u);
+  std::string served;
+  stack.Submit("@hl d 0 2", 2, [&served](std::string reply, bool) {
+    served = std::move(reply);
+  });
+  EXPECT_TRUE(StartsWith(served, "OK d")) << served;
+  EXPECT_EQ(stack.admission().ClientInFlight(2), 0u);
+  EXPECT_EQ(stack.admission().InFlight(), 1u);
+
+  release.set_value();
+  EXPECT_TRUE(StartsWith(held_reply.get(), "OK d"));
+  stack.WaitIdle();
+  EXPECT_EQ(stack.admission().Totals().admitted, 7u);
+  EXPECT_EQ(stack.admission().InFlight(), 0u);
+  EXPECT_EQ(stack.admission().ClientInFlight(1), 0u);
+
+  // The inline answers' sub-microsecond-scale latencies show in `stats`
+  // as fractional microseconds, not 0.
+  const std::string stats = stack.StatsLine();
+  const std::size_t at = stats.find("d_p50_us=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_GT(std::stod(stats.substr(at + 9)), 0.0) << stats;
 }
 
 // Many front-end threads sharing one stack: every reply must still be
@@ -1784,6 +1906,105 @@ TEST_F(TcpServerTest, V2PipelinedRepliesMatchByRequestId) {
                   static_cast<NodeId>(i % n),
                   static_cast<NodeId>((i * 7) % n))));
   }
+  tcp.Stop();
+}
+
+// v1 pipelining across the two delivery paths: `hl` distances are answered
+// on the I/O thread, paths on the engine workers. Replies still come back
+// one per line, in order, and `quit` still ends the session.
+TEST_F(TcpServerTest, V1PipelinedInlineAndQueuedRepliesKeepOrder) {
+  ServerConfig config;
+  config.num_threads = 2;
+  config.cache_capacity = 0;  // every distance runs inline
+  ServerStack stack(MakeOracle("hl", graph_), config);
+  Dijkstra reference(graph_);
+  TcpServer tcp(stack, TcpServerConfig{});
+  ASSERT_TRUE(tcp.Start());
+
+  LineClient client;
+  ASSERT_TRUE(client.Connect(tcp.Port()));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+
+  const NodeId n = static_cast<NodeId>(graph_.NumNodes());
+  std::string burst;
+  std::vector<std::string> expected;  // "OK d ..." or "OK p <length>"
+  for (NodeId i = 0; i < 24; ++i) {
+    const NodeId s = i % n;
+    const NodeId t = (i * 7 + 3) % n;
+    const bool path = i % 3 == 2;
+    burst += (path ? "p " : "d ") + std::to_string(s) + " " +
+             std::to_string(t) + "\n";
+    expected.push_back(path ? "OK p " + std::to_string(reference.Distance(s, t))
+                            : FormatDistance(reference.Distance(s, t)));
+  }
+  burst += "q\nd 0 1\n";  // nothing after quit is answered
+  ASSERT_TRUE(client.Send(burst));
+
+  for (const std::string& want : expected) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    if (StartsWith(want, "OK p ")) {
+      const std::vector<std::string> tokens = Tokens(line);
+      ASSERT_GE(tokens.size(), 3u) << line;
+      EXPECT_EQ(tokens[0] + " " + tokens[1] + " " + tokens[2], want);
+    } else {
+      EXPECT_EQ(line, want);
+    }
+  }
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(line, "OK bye");
+  EXPECT_TRUE(client.AtEof());
+  tcp.Stop();
+}
+
+// v2 pipelining with every request answered on the I/O thread: each of 64
+// `hl` frames gets exactly one reply, exact against Dijkstra.
+TEST_F(TcpServerTest, V2PipelinedInlineFramesAreAnsweredOnce) {
+  ServerConfig config;
+  config.num_threads = 2;
+  config.cache_capacity = 0;  // every distance runs inline
+  ServerStack stack(MakeOracle("hl", graph_), config);
+  Dijkstra reference(graph_);
+  TcpServer tcp(stack, TcpServerConfig{});
+  ASSERT_TRUE(tcp.Start());
+
+  BinaryClient client;
+  ASSERT_TRUE(client.Connect(tcp.Port()));
+  constexpr std::uint64_t kFrames = 64;
+  constexpr std::uint64_t kFirstId = 500;
+  const NodeId n = static_cast<NodeId>(graph_.NumNodes());
+  auto pair_of = [n](std::uint64_t i) {
+    return std::make_pair(static_cast<NodeId>(i % n),
+                          static_cast<NodeId>((i * 13 + 5) % n));
+  };
+  std::string burst;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    std::string body;
+    PutU32(&body, pair_of(i).first);
+    PutU32(&body, pair_of(i).second);
+    burst += EncodeRequestFrame(Opcode::kDistance, kFirstId + i, {}, body);
+  }
+  ASSERT_TRUE(client.SendRaw(burst));
+
+  std::vector<int> answers(kFrames, 0);
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    BinaryClient::Frame frame;
+    ASSERT_TRUE(client.ReadFrame(&frame));
+    const std::uint64_t id = frame.header.request_id;
+    ASSERT_GE(id, kFirstId);
+    ASSERT_LT(id, kFirstId + kFrames);
+    ++answers[id - kFirstId];
+    const auto [s, t] = pair_of(id - kFirstId);
+    EXPECT_EQ(ReplyFrameToText(frame.header, frame.payload),
+              FormatDistance(reference.Distance(s, t)));
+  }
+  EXPECT_EQ(answers, std::vector<int>(kFrames, 1));
+  // Nothing else is pending: the next frame is the reply to the next send.
+  const std::uint64_t quit_id = client.SendRequest(Opcode::kQuit, {});
+  BinaryClient::Frame frame;
+  ASSERT_TRUE(client.ReadFrame(&frame));
+  EXPECT_EQ(frame.header.request_id, quit_id);
+  EXPECT_TRUE(client.AtEof());
   tcp.Stop();
 }
 
